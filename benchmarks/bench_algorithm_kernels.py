@@ -29,18 +29,17 @@ from repro.algorithms.online.no_prediction import NoPredictionGreedy
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
 from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
 from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
-from repro.costs.count_based import PowerCost
+from repro.core.instance import Instance
 from repro.costs.general import PerPointScaledCost
 from repro.metric.factories import random_euclidean_metric
+from repro.scenarios import scenario_from_dict
 from repro.utils.rng import ensure_rng
-from repro.workloads.clustered import clustered_workload
-from repro.workloads.uniform import uniform_workload
 
 #: Shared medium-sized workload (kept module-level so every kernel sees the
 #: exact same instance and the benchmark groups are comparable).
-_WORKLOAD = clustered_workload(
-    num_requests=120, num_commodities=12, num_clusters=4, rng=2024
-)
+_WORKLOAD = scenario_from_dict(
+    {"kind": "clustered", "num_requests": 120, "num_commodities": 12, "num_clusters": 4}
+).realize(2024)
 
 
 @pytest.mark.benchmark(group="online-kernels")
@@ -137,22 +136,25 @@ def _trajectory_instance(n: int, *, single_commodity: bool):
     # (and the paper's Section 4.1 rounding) is about.
     scales = ensure_rng(1234).uniform(0.5, 8.0, size=n)
     if single_commodity:
-        return uniform_workload(
-            num_requests=n,
-            num_commodities=1,
-            num_points=n,
-            cost_function=PerPointScaledCost(PowerCost(1, 1.0, scale=0.5), scales),
-            rng=2024,
-        ).instance
-    clusters = 8
-    return clustered_workload(
-        num_requests=n,
-        num_commodities=8,
-        num_clusters=clusters,
-        points_per_cluster=n // clusters,
-        cost_function=PerPointScaledCost(PowerCost(8, 1.0, scale=0.5), scales),
-        rng=2024,
-    ).instance
+        spec = {"kind": "uniform", "num_commodities": 1, "num_points": n}
+    else:
+        clusters = 8
+        spec = {
+            "kind": "clustered",
+            "num_commodities": 8,
+            "num_clusters": clusters,
+            "points_per_cluster": n // clusters,
+        }
+    base = scenario_from_dict(
+        {**spec, "num_requests": n, "cost_scale": 0.5}
+    ).realize(2024).instance
+    return Instance(
+        base.metric,
+        PerPointScaledCost(base.cost_function, scales),
+        base.requests,
+        commodities=base.commodities,
+        name=base.name,
+    )
 
 
 def _timed_run(factory, instance, *, use_accel: bool):

@@ -28,7 +28,7 @@ import math
 from repro import PDOMFLPAlgorithm, PowerCost, RandOMFLPAlgorithm, run_online
 from repro.analysis import format_table, measure_competitive_ratio, reference_cost
 from repro.lowerbound import predicted_adaptive_ratio, run_single_point_game
-from repro.workloads import clustered_workload
+from repro.scenarios import scenario_from_dict
 
 
 def main() -> None:
@@ -64,13 +64,15 @@ def main() -> None:
     # ----- workload side (how behaviour changes with x) -----------------------
     workload_rows = []
     for x in exponents:
-        workload = clustered_workload(
-            num_requests=60,
-            num_commodities=num_commodities,
-            num_clusters=4,
-            cost_function=PowerCost(num_commodities, x),
-            rng=1,
-        )
+        workload = scenario_from_dict(
+            {
+                "kind": "clustered",
+                "num_requests": 60,
+                "num_commodities": num_commodities,
+                "num_clusters": 4,
+                "cost_exponent_x": x,
+            }
+        ).realize(1)
         reference = reference_cost(workload, local_search_iterations=2)
         for factory in (PDOMFLPAlgorithm, RandOMFLPAlgorithm):
             algorithm = factory()

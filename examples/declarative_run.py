@@ -74,7 +74,7 @@ def comparison_grid() -> None:
     print("=== 3. seeded comparison grid ===")
     base = {
         "algorithm": "pd-omflp",
-        "workload": {"kind": "uniform", "num_requests": 40, "num_commodities": 8},
+        "scenario": {"kind": "uniform", "num_requests": 40, "num_commodities": 8},
         "seed": 0,
     }
     records = run_grid(

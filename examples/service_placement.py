@@ -35,19 +35,21 @@ from repro import (
     run_online,
 )
 from repro.analysis import format_table, measure_competitive_ratio, reference_cost
-from repro.workloads import service_network_workload
+from repro.scenarios import scenario_from_dict
 
 
 def main() -> None:
-    workload = service_network_workload(
-        num_requests=80,
-        num_services=10,
-        num_nodes=30,
-        num_profiles=4,
-        profile_size=3,
-        zipf_alpha=1.2,
-        rng=42,
-    )
+    workload = scenario_from_dict(
+        {
+            "kind": "service-network",
+            "num_requests": 80,
+            "num_services": 10,
+            "num_nodes": 30,
+            "num_profiles": 4,
+            "profile_size": 3,
+            "zipf_alpha": 1.2,
+        }
+    ).realize(42)
     instance = workload.instance
     print(f"workload: {workload.describe()}")
     print()

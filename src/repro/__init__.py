@@ -66,7 +66,6 @@ from repro.api import (
     COSTS,
     METRICS,
     SOLVERS,
-    WORKLOADS,
     AssignmentEvent,
     OnlineSession,
     Registry,
@@ -142,7 +141,6 @@ __all__ = [
     "Registry",
     "METRICS",
     "COSTS",
-    "WORKLOADS",
     "ALGORITHMS",
     "SOLVERS",
     "RunSpec",

@@ -1,6 +1,6 @@
 """Evaluate a planted facility set.
 
-The clustered workload generator (:mod:`repro.workloads.clustered`) draws
+The ``clustered`` scenario (:class:`repro.scenarios.ClusteredScenario`) draws
 requests around a known set of "optimal centers" (the paper's term in the
 RAND-OMFLP analysis, Section 4.2) and reports the facilities a clairvoyant
 provider would open.  Evaluating that planted facility set — with optimal

@@ -19,7 +19,7 @@ competitive-ratio probe (:mod:`repro.telemetry`) is built on this class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -33,7 +33,9 @@ from repro.costs.base import FacilityCostFunction
 from repro.exceptions import AlgorithmError, ExperimentError
 from repro.metric.base import MetricSpace
 from repro.utils.rng import RandomState, ensure_rng
-from repro.workloads.base import GeneratedWorkload
+
+if TYPE_CHECKING:
+    from repro.scenarios.base import GeneratedWorkload
 
 __all__ = [
     "CompetitiveMeasurement",
@@ -100,7 +102,7 @@ class CompetitiveMeasurement:
 
 
 def reference_cost(
-    workload_or_instance: Union[GeneratedWorkload, Instance],
+    workload_or_instance: Union["GeneratedWorkload", Instance],
     *,
     exact_limit_combinations: int = 50_000,
     local_search_iterations: int = 15,
@@ -116,12 +118,12 @@ def reference_cost(
     """
     if known_opt is not None:
         return ReferenceCost(value=float(known_opt), kind="analytic", solver="known")
-    if isinstance(workload_or_instance, GeneratedWorkload):
-        workload: Optional[GeneratedWorkload] = workload_or_instance
-        instance = workload_or_instance.instance
-    else:
-        workload = None
+    if isinstance(workload_or_instance, Instance):
+        workload: Optional["GeneratedWorkload"] = None
         instance = workload_or_instance
+    else:
+        workload = workload_or_instance
+        instance = workload_or_instance.instance
 
     # Exact brute force when affordable.
     try:
@@ -342,7 +344,7 @@ def streaming_lower_bound(
 
 def measure_competitive_ratio(
     algorithm: OnlineAlgorithm,
-    workload_or_instance: Union[GeneratedWorkload, Instance],
+    workload_or_instance: Union["GeneratedWorkload", Instance],
     *,
     reference: Optional[ReferenceCost] = None,
     repeats: Optional[int] = None,
@@ -351,9 +353,9 @@ def measure_competitive_ratio(
 ) -> CompetitiveMeasurement:
     """Run ``algorithm`` (repeatedly if randomized) and compare to the reference."""
     instance = (
-        workload_or_instance.instance
-        if isinstance(workload_or_instance, GeneratedWorkload)
-        else workload_or_instance
+        workload_or_instance
+        if isinstance(workload_or_instance, Instance)
+        else workload_or_instance.instance
     )
     generator = ensure_rng(rng)
     if reference is None:

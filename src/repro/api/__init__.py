@@ -4,7 +4,7 @@ This subpackage is the canonical way to construct and run anything in the
 library:
 
 * **Registries** (:mod:`repro.api.components`) — string-keyed factories for
-  metrics, cost functions, workloads, online algorithms and offline solvers,
+  metrics, cost functions, online algorithms and offline solvers,
   so that scenarios are describable as plain dicts/JSON.
 * **Declarative runs** (:mod:`repro.api.spec`, :mod:`repro.api.run`) — a
   :class:`RunSpec` names every component; :func:`run` executes it and
@@ -31,7 +31,7 @@ Quickstart
 True
 """
 
-from repro.api.components import ALGORITHMS, COSTS, METRICS, SOLVERS, WORKLOADS
+from repro.api.components import ALGORITHMS, COSTS, METRICS, SOLVERS
 from repro.api.record import RunRecord, records_to_csv
 from repro.api.registry import Registry
 from repro.api.run import run, run_grid, run_many
@@ -42,7 +42,6 @@ __all__ = [
     "Registry",
     "METRICS",
     "COSTS",
-    "WORKLOADS",
     "ALGORITHMS",
     "SOLVERS",
     "ComponentSpec",

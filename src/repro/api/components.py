@@ -1,13 +1,13 @@
 """The stock component registries of the library.
 
-Five registries index everything a :class:`~repro.api.spec.RunSpec` can name:
+Four registries index the components a :class:`~repro.api.spec.RunSpec` can
+name (synthetic instance generators are the streaming scenarios of
+:data:`repro.scenarios.SCENARIOS`):
 
 * :data:`METRICS` — metric-space factories (``"uniform-line"``,
   ``"random-euclidean"``, ``"explicit"``, ...);
 * :data:`COSTS` — facility cost-function families (``"power"``,
   ``"linear"``, ``"weighted-concave"``, ...);
-* :data:`WORKLOADS` — synthetic instance generators (``"uniform"``,
-  ``"clustered"``, ``"zipf"``, ``"service-network"``);
 * :data:`ALGORITHMS` — the online algorithms of the paper and its baselines;
 * :data:`SOLVERS` — the offline reference solvers.
 
@@ -53,12 +53,8 @@ from repro.metric.factories import (
 )
 from repro.metric.matrix import ExplicitMetric
 from repro.metric.single_point import SinglePointMetric
-from repro.workloads.clustered import clustered_workload
-from repro.workloads.service_network import service_network_workload
-from repro.workloads.uniform import uniform_workload
-from repro.workloads.zipf import zipf_workload
 
-__all__ = ["METRICS", "COSTS", "WORKLOADS", "ALGORITHMS", "SOLVERS"]
+__all__ = ["METRICS", "COSTS", "ALGORITHMS", "SOLVERS"]
 
 
 # ----------------------------------------------------------------------
@@ -87,19 +83,6 @@ COSTS.add("weighted-concave", WeightedConcaveCost)
 COSTS.add("tabulated", TabulatedCost)
 COSTS.add("ordered-linear", OrderedLinearCost)
 COSTS.add("per-point-scaled", PerPointScaledCost)
-
-
-# ----------------------------------------------------------------------
-# Workload generators (each returns a GeneratedWorkload)
-# ----------------------------------------------------------------------
-# Strict parameters: a typo'd keyword in a declarative workload spec raises
-# ReproError naming the offending key (instead of a generator-internal
-# TypeError); the scenario registry (repro.scenarios) does the same.
-WORKLOADS = Registry("workload", strict_params=True)
-WORKLOADS.add("uniform", uniform_workload)
-WORKLOADS.add("clustered", clustered_workload)
-WORKLOADS.add("zipf", zipf_workload)
-WORKLOADS.add("service-network", service_network_workload)
 
 
 # ----------------------------------------------------------------------

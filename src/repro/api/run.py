@@ -4,7 +4,7 @@
 form); :func:`run_many` scatters a batch of specs over the process pool of
 :mod:`repro.parallel.pool`; :func:`run_grid` expands a
 :class:`~repro.analysis.sweep.ParameterGrid` against a base spec, using dotted
-keys (``"workload.num_requests"``, ``"cost.exponent_x"``, ``"seed"``) to
+keys (``"scenario.num_requests"``, ``"cost.exponent_x"``, ``"seed"``) to
 target nested component parameters.
 """
 
@@ -88,8 +88,14 @@ def run_many(
 
 
 def _set_dotted(data: Dict[str, Any], key: str, value: Any) -> None:
-    """Set ``"a.b.c"`` in nested dicts, creating intermediate levels."""
+    """Set ``"a.b.c"`` in nested dicts, creating intermediate levels.
+
+    A leading ``workload`` part addresses ``scenario``, the key a
+    ``workload`` spec is stored under.
+    """
     parts = key.split(".")
+    if parts[0] == "workload":
+        parts[0] = "scenario"
     target = data
     for part in parts[:-1]:
         node = target.setdefault(part, {})
@@ -116,8 +122,8 @@ def run_grid(
 
         run_grid(
             {"algorithm": "pd-omflp",
-             "workload": {"kind": "uniform", "num_requests": 30, "num_commodities": 8}},
-            ParameterGrid({"workload.num_commodities": [4, 8, 16], "seed": [0, 1]}),
+             "scenario": {"kind": "uniform", "num_requests": 30, "num_commodities": 8}},
+            ParameterGrid({"scenario.num_commodities": [4, 8, 16], "seed": [0, 1]}),
         )
 
     The base spec must be declarative (grid overrides rewrite its dict form).

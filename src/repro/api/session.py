@@ -574,6 +574,15 @@ class OnlineSession:
                 metric = instance.metric
                 cost = instance.cost_function
                 commodities = commodities or instance.commodities
+                # The instance supplies only the environment: the restored
+                # session keeps the snapshot's name, not the instance's.
+                instance = Instance(
+                    metric,
+                    cost,
+                    instance.requests,
+                    commodities=instance.commodities,
+                    name=snapshot.instance_name,
+                )
             if metric is None or cost is None:
                 raise SnapshotError(
                     "restore() needs metric and cost (or a whole instance) "

@@ -13,11 +13,11 @@ parameters, so a complete scenario fits in a JSON file::
     }
 
 and runs end to end through :func:`repro.api.run.run` without importing a
-single ``repro`` class.  Alternatively a ``workload`` spec generates the whole
-instance::
+single ``repro`` class.  Alternatively a ``scenario`` spec generates the whole
+instance (``workload`` is accepted as another spelling of ``scenario``)::
 
     {"algorithm": "rand-omflp",
-     "workload": {"kind": "uniform", "num_requests": 50, "num_commodities": 8},
+     "scenario": {"kind": "uniform", "num_requests": 50, "num_commodities": 8},
      "seed": 7}
 
 For interactive use, live objects (an already-built metric, cost function or
@@ -28,11 +28,11 @@ still runs but no longer serializes (``to_dict`` raises).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.base import OfflineSolver, OnlineAlgorithm
-from repro.api.components import ALGORITHMS, COSTS, METRICS, SOLVERS, WORKLOADS
+from repro.api.components import ALGORITHMS, COSTS, METRICS, SOLVERS
 from repro.api.registry import Registry, did_you_mean
 from repro.core.instance import Instance
 from repro.core.requests import RequestSequence
@@ -40,7 +40,6 @@ from repro.costs.base import FacilityCostFunction
 from repro.exceptions import ExperimentError, UnknownComponentError
 from repro.metric.base import MetricSpace
 from repro.utils.rng import ensure_rng
-from repro.workloads.base import GeneratedWorkload
 
 __all__ = ["RunSpec", "ComponentSpec"]
 
@@ -90,19 +89,18 @@ class RunSpec:
         Explicit instance ingredients; ``requests`` is a list of
         ``(point, commodities)`` pairs in arrival order.
     workload:
-        Alternatively, a workload generator spec that produces the whole
-        instance (mutually exclusive with ``metric``/``cost``/``requests``).
+        Init-only alias of ``scenario``: a spec given as ``workload`` is
+        stored, run and serialized as ``scenario`` (passing both is an
+        error).
     scenario:
         Alternatively, a (possibly nested) streaming scenario spec resolved
-        through :data:`repro.scenarios.SCENARIOS` (mutually exclusive with
-        ``workload`` and with explicit ``metric``/``cost``/``requests``).
-        Online runs stream it through an
+        through :data:`repro.scenarios.SCENARIOS` that generates the whole
+        instance (mutually exclusive with explicit
+        ``metric``/``cost``/``requests``).  Online runs stream it through an
         :class:`~repro.api.session.OnlineSession` in bounded-memory batches;
         offline runs realize it eagerly (bit-identical by construction).
-        The four legacy workload kinds are also registered as scenarios, so
-        ``{"scenario": {"kind": "uniform", ...}}`` keeps working.
     seed:
-        Seed for workload generation and randomized algorithms.
+        Seed for scenario generation and randomized algorithms.
     trace:
         Record structured trace events during online runs.
     validate:
@@ -115,21 +113,26 @@ class RunSpec:
     metric: Optional[ComponentSpec] = None
     cost: Optional[ComponentSpec] = None
     requests: Optional[Sequence[Tuple[int, Sequence[int]]]] = None
-    workload: Optional[ComponentSpec] = None
+    workload: InitVar[Optional[ComponentSpec]] = None
     scenario: Optional[ComponentSpec] = None
     seed: Optional[int] = None
     trace: bool = False
     validate: bool = True
     name: Optional[str] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, workload: Optional[ComponentSpec]) -> None:
+        if workload is not None:
+            if self.scenario is not None:
+                raise ExperimentError(
+                    "a RunSpec takes either a workload or a scenario, not both "
+                    "('workload' is another spelling of 'scenario')"
+                )
+            self.scenario = workload
         self.algorithm = _normalize(self.algorithm, "algorithm")
         if self.metric is not None:
             self.metric = _normalize(self.metric, "metric")
         if self.cost is not None:
             self.cost = _normalize(self.cost, "cost")
-        if self.workload is not None:
-            self.workload = _normalize(self.workload, "workload")
         if self.scenario is not None:
             self.scenario = _normalize(self.scenario, "scenario")
         if self.requests is not None:
@@ -137,19 +140,10 @@ class RunSpec:
                 (int(point), tuple(sorted(int(e) for e in commodities)))
                 for point, commodities in self.requests
             ]
-        sources = [
-            label
-            for label, value in (("workload", self.workload), ("scenario", self.scenario))
-            if value is not None
-        ]
-        if len(sources) > 1:
-            raise ExperimentError(
-                "a RunSpec takes either a workload or a scenario, not both"
-            )
-        if sources:
+        if self.scenario is not None:
             if self.metric is not None or self.cost is not None or self.requests is not None:
                 raise ExperimentError(
-                    f"a RunSpec takes either a {sources[0]} or explicit "
+                    "a RunSpec takes either a scenario or explicit "
                     "metric/cost/requests, not both"
                 )
         else:
@@ -164,7 +158,7 @@ class RunSpec:
             ]
             if missing:
                 raise ExperimentError(
-                    "a RunSpec without a workload needs explicit metric, cost and "
+                    "a RunSpec without a scenario needs explicit metric, cost and "
                     f"requests; missing: {', '.join(missing)}"
                 )
         if self.seed is not None:
@@ -175,7 +169,11 @@ class RunSpec:
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Build a spec from its dictionary form (inverse of :meth:`to_dict`)."""
+        """Build a spec from its dictionary form (inverse of :meth:`to_dict`).
+
+        A ``workload`` key is read as ``scenario``, so spec files written
+        with the old spelling keep resolving.
+        """
         known = {
             "algorithm",
             "metric",
@@ -207,7 +205,6 @@ class RunSpec:
             ("algorithm", self.algorithm),
             ("metric", self.metric),
             ("cost", self.cost),
-            ("workload", self.workload),
             ("scenario", self.scenario),
         ):
             if not _is_declarative(value):
@@ -216,9 +213,7 @@ class RunSpec:
                     "only declarative specs serialize to dictionaries"
                 )
         data: Dict[str, Any] = {"algorithm": dict(self.algorithm)}
-        if self.workload is not None:
-            data["workload"] = dict(self.workload)
-        elif self.scenario is not None:
+        if self.scenario is not None:
             data["scenario"] = copy.deepcopy(dict(self.scenario))
         else:
             data["metric"] = dict(self.metric)
@@ -244,7 +239,6 @@ class RunSpec:
                 self.algorithm,
                 self.metric,
                 self.cost,
-                self.workload,
                 self.scenario,
             )
         )
@@ -287,8 +281,8 @@ class RunSpec:
         """Resolve the nested scenario spec into a live Scenario object."""
         if self.scenario is None:
             raise ExperimentError("this RunSpec names no scenario")
-        # Imported lazily: the scenario engine pulls in workload/metric stacks
-        # that plain metric/cost specs never need.
+        # Imported lazily: the scenario engine pulls in generator/metric
+        # stacks that plain metric/cost specs never need.
         from repro.scenarios.base import Scenario, scenario_from_dict
 
         if isinstance(self.scenario, Scenario):
@@ -296,13 +290,13 @@ class RunSpec:
         return scenario_from_dict(self.scenario)
 
     def build_instance(self, rng=None) -> Instance:
-        """Materialize the instance (generating the workload when named).
+        """Materialize the instance (realizing the scenario when named).
 
         ``rng`` (defaulting to a generator seeded with ``seed``) is threaded
-        into workload generation and random metric factories.  Scenario specs
-        realize eagerly here (streaming callers use
-        :mod:`repro.scenarios.run` instead); their seed derivation depends
-        only on ``self.seed``, matching the streamed path exactly.
+        into random metric factories.  Scenario specs realize eagerly here
+        (streaming callers use :mod:`repro.scenarios.run` instead); their seed
+        derivation depends only on ``self.seed``, matching the streamed path
+        exactly.
         """
         if self.scenario is not None:
             from repro.scenarios.run import derive_session_seeds
@@ -314,24 +308,15 @@ class RunSpec:
                 instance.name = self.name
             return instance
         generator = ensure_rng(self.seed if rng is None else rng)
-        if self.workload is not None:
-            workload = _build_component(self.workload, WORKLOADS, generator)
-            if not isinstance(workload, GeneratedWorkload):
-                raise ExperimentError(
-                    f"workload builders must return a GeneratedWorkload, got "
-                    f"{type(workload).__name__}"
-                )
-            instance = workload.instance
-        else:
-            metric = _build_component(self.metric, METRICS, generator)
-            if not isinstance(metric, MetricSpace):
-                raise ExperimentError(f"metric spec built a {type(metric).__name__}")
-            cost = _build_component(self.cost, COSTS, generator)
-            if not isinstance(cost, FacilityCostFunction):
-                raise ExperimentError(f"cost spec built a {type(cost).__name__}")
-            instance = Instance(
-                metric, cost, RequestSequence.from_tuples(self.requests), name="spec"
-            )
+        metric = _build_component(self.metric, METRICS, generator)
+        if not isinstance(metric, MetricSpace):
+            raise ExperimentError(f"metric spec built a {type(metric).__name__}")
+        cost = _build_component(self.cost, COSTS, generator)
+        if not isinstance(cost, FacilityCostFunction):
+            raise ExperimentError(f"cost spec built a {type(cost).__name__}")
+        instance = Instance(
+            metric, cost, RequestSequence.from_tuples(self.requests), name="spec"
+        )
         if self.name is not None:
             instance.name = self.name
         return instance
@@ -341,8 +326,8 @@ class RunSpec:
 
         This is the ``repro spec --validate-only`` backend: the algorithm key
         is resolved (deciding the mode, with did-you-mean on typos) and its
-        parameters signature-checked, metric/cost/workload specs are checked
-        against their registries, and scenario specs are fully constructed —
+        parameters signature-checked, metric/cost specs are checked against
+        their registries, and scenario specs are fully constructed —
         which validates nested children and parameter ranges — then
         re-serialized with all defaults materialized.
         """
@@ -360,7 +345,6 @@ class RunSpec:
         for label, spec, component_registry in (
             ("metric", self.metric, METRICS),
             ("cost", self.cost, COSTS),
-            ("workload", self.workload, WORKLOADS),
         ):
             if isinstance(spec, dict):
                 component_registry.check_params(

@@ -90,6 +90,11 @@ class FacilityStore:
         self._facilities: List[Facility] = []
         self._by_commodity: Dict[int, List[int]] = {}
         self._large: List[int] = []
+        # Small and large opening costs are summed separately, in opening
+        # order, exactly as Solution.cost_breakdown sums them, so the running
+        # total equals the finalized record's opening cost bit for bit.
+        self._opening_small = 0.0
+        self._opening_large = 0.0
         self._total_opening_cost = 0.0
         self._full_set = cost_function.full_set
         self._use_accel = bool(use_accel)
@@ -117,7 +122,10 @@ class FacilityStore:
             self._by_commodity.setdefault(commodity, []).append(facility.id)
         if config == self._full_set:
             self._large.append(facility.id)
-        self._total_opening_cost += cost
+            self._opening_large += cost
+        else:
+            self._opening_small += cost
+        self._total_opening_cost = self._opening_small + self._opening_large
         if self._use_accel:
             for commodity in config:
                 tracker = self._trackers.get(commodity)

@@ -126,7 +126,7 @@ class RequestSequence:
     def reordered(self, order: Sequence[int]) -> "RequestSequence":
         """Return the same multiset of requests in a different arrival order.
 
-        Used by the arrival-order workload models (adversarial vs random
+        Used by the arrival-order experiment (adversarial vs random
         order): the request contents stay identical but indices are rewritten
         to the new positions.
         """

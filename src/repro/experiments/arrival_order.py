@@ -4,8 +4,9 @@ Section 1.2 of the paper recalls that Meyerson's algorithm performs much
 better when the adversary does not fully control the arrival order (constant
 competitive for random order), and that gradually weakening the adversary
 interpolates between the regimes (Lang 2018).  This experiment takes fixed
-request multisets (clustered workloads), presents them to PD-OMFLP and
-RAND-OMFLP in (a) a heuristic adversarial order (sparse demands first, far
+request multisets (realized ``clustered`` scenarios), presents them to
+PD-OMFLP and RAND-OMFLP in (a) the heuristic adversarial order of the
+``arrival-order`` scenario's ``sparse-first`` (sparse demands first, far
 locations first) and (b) uniformly random order, and reports the cost ratio
 between the two orders per algorithm.
 
@@ -26,9 +27,9 @@ from repro.algorithms.base import run_online
 from repro.analysis.runner import ExperimentResult
 from repro.api.components import ALGORITHMS
 from repro.engine import ExperimentPlan, ResultStore, engine_task, run_plan
-from repro.utils.rng import RandomState
-from repro.workloads.clustered import clustered_workload
-from repro.workloads.orders import adversarial_order, random_order
+from repro.scenarios import scenario_from_dict
+from repro.scenarios.combinators import sparse_first_order
+from repro.utils.rng import RandomState, ensure_rng
 
 __all__ = ["run", "build_plan", "EXPERIMENT_ID"]
 
@@ -41,14 +42,20 @@ ALGORITHM_NAMES = ("pd-omflp", "rand-omflp")
 @engine_task("arrival-order/comparison")
 def order_comparison_case(case: Dict[str, Any], rng: np.random.Generator) -> Dict[str, Any]:
     """Adversarial-order vs random-order mean cost for one algorithm."""
-    workload = clustered_workload(
-        num_requests=case["num_requests"],
-        num_commodities=case["num_commodities"],
-        num_clusters=max(2, case["num_commodities"] // 4),
-        rng=case["seed"],
+    base_instance = scenario_from_dict(
+        {
+            "kind": "clustered",
+            "num_requests": case["num_requests"],
+            "num_commodities": case["num_commodities"],
+            "num_clusters": max(2, case["num_commodities"] // 4),
+        }
+    ).realize(case["seed"]).instance
+    adversarial = base_instance.reordered(
+        sparse_first_order(
+            base_instance.metric,
+            [(r.point, r.commodities) for r in base_instance.requests],
+        )
     )
-    base_instance = workload.instance
-    adversarial = adversarial_order(base_instance)
     algorithm_name = case["algorithm"]
     repeats = case["repeats"]
     randomized = ALGORITHMS.build(algorithm_name).randomized
@@ -58,8 +65,10 @@ def order_comparison_case(case: Dict[str, Any], rng: np.random.Generator) -> Dic
         for _ in range(runs)
     ]
     random_costs = []
-    for i in range(max(runs, repeats)):
-        shuffled = random_order(base_instance, rng=1000 + i)
+    # Fixed shuffle seed: every algorithm sees the same random orders.
+    shuffles = ensure_rng(1000)
+    for _ in range(max(runs, repeats)):
+        shuffled = base_instance.reordered(shuffles.permutation(base_instance.num_requests))
         random_costs.append(
             run_online(ALGORITHMS.build(algorithm_name), shuffled, rng=rng).total_cost
         )

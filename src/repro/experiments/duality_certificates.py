@@ -29,8 +29,8 @@ from repro.dual.bounds import paper_scaling_factor
 from repro.dual.feasibility import check_dual_feasibility, max_feasible_scale
 from repro.engine import ExperimentPlan, ResultStore, engine_task, run_plan
 from repro.exceptions import AlgorithmError
+from repro.scenarios import scenario_from_dict
 from repro.utils.rng import RandomState
-from repro.workloads.uniform import uniform_workload
 
 __all__ = ["run", "build_plan", "EXPERIMENT_ID"]
 
@@ -41,14 +41,15 @@ TITLE = "Corollaries 8 & 17: primal <= 3*duals and gamma-scaled dual feasibility
 @engine_task("duality-certificates/instance")
 def certificate_case(case: Dict[str, Any], rng: np.random.Generator) -> Dict[str, Any]:
     """Run PD-OMFLP on one random instance and verify both corollaries."""
-    workload = uniform_workload(
-        num_requests=case["num_requests"],
-        num_commodities=case["num_commodities"],
-        num_points=case["num_points"],
-        max_demand=min(case["num_commodities"], 3),
-        rng=case["seed"],
-    )
-    instance = workload.instance
+    instance = scenario_from_dict(
+        {
+            "kind": "uniform",
+            "num_requests": case["num_requests"],
+            "num_commodities": case["num_commodities"],
+            "num_points": case["num_points"],
+            "max_demand": min(case["num_commodities"], 3),
+        }
+    ).realize(case["seed"]).instance
     result = run_online(PDOMFLPAlgorithm(), instance, rng=rng)
     duals = result.duals
     dual_sum = duals.total()

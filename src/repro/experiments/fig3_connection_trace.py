@@ -24,8 +24,8 @@ from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
 from repro.analysis.runner import ExperimentResult
 from repro.core.trace import CoinFlipEvent, RequestAssignedEvent
 from repro.engine import ExperimentPlan, ResultStore, engine_task, run_plan
+from repro.scenarios import scenario_from_dict
 from repro.utils.rng import RandomState
-from repro.workloads.clustered import clustered_workload
 
 __all__ = ["run", "build_plan", "EXPERIMENT_ID"]
 
@@ -36,13 +36,14 @@ TITLE = "Figure 3: small-vs-large connection decisions of RAND-OMFLP"
 @engine_task("fig3-connection-trace/trace")
 def traced_run_case(case: Dict[str, Any], rng: np.random.Generator) -> Dict[str, Any]:
     """One traced RAND-OMFLP run: per-request decisions plus the transcript."""
-    workload = clustered_workload(
-        num_requests=case["num_requests"],
-        num_commodities=case["num_commodities"],
-        num_clusters=case["num_clusters"],
-        rng=case["workload_seed"],
-    )
-    instance = workload.instance
+    instance = scenario_from_dict(
+        {
+            "kind": "clustered",
+            "num_requests": case["num_requests"],
+            "num_commodities": case["num_commodities"],
+            "num_clusters": case["num_clusters"],
+        }
+    ).realize(case["workload_seed"]).instance
     result = run_online(RandOMFLPAlgorithm(), instance, rng=rng, trace=True)
 
     requests: List[Dict[str, Any]] = []

@@ -43,7 +43,6 @@ from repro.core.requests import Request, RequestSequence
 from repro.engine import ExperimentPlan, ResultStore, engine_task, run_plan
 from repro.metric.factories import random_euclidean_metric
 from repro.utils.rng import RandomState, ensure_rng
-from repro.workloads.base import GeneratedWorkload
 
 __all__ = ["run", "build_plan", "EXPERIMENT_ID"]
 
@@ -51,13 +50,13 @@ EXPERIMENT_ID = "heavy-commodities"
 TITLE = "Closing remarks: excluding heavy commodities from the large configuration"
 
 
-def _skewed_workload(
+def _skewed_instance(
     num_requests: int,
     num_commodities: int,
     num_points: int,
     heavy_weight: float,
     seed: int,
-) -> GeneratedWorkload:
+) -> Instance:
     """Uniform requests under a weighted-concave cost with one heavy commodity."""
     generator = ensure_rng(seed)
     metric = random_euclidean_metric(num_points, rng=generator)
@@ -71,31 +70,29 @@ def _skewed_workload(
         size = int(generator.integers(1, min(num_commodities, 4) + 1))
         demand = universe.sample_subset(size, rng=generator)
         requests.append(Request(index=index, point=point, commodities=demand))
-    instance = Instance(
+    return Instance(
         metric,
         cost,
         RequestSequence(requests),
         commodities=universe,
         name=f"heavy(w={heavy_weight:g},n={num_requests})",
     )
-    return GeneratedWorkload(instance=instance, metadata={"heavy_weight": heavy_weight})
 
 
 @engine_task("heavy-commodities/workload")
 def skewed_workload_case(case: Dict[str, Any], rng: np.random.Generator) -> List[Dict[str, Any]]:
     """All three algorithm variants on one skewed workload, shared reference."""
     skew = float(case["heavy_weight"])
-    workload = _skewed_workload(
+    instance = _skewed_instance(
         case["num_requests"],
         case["num_commodities"],
         case["num_points"],
         skew,
         case["seed"],
     )
-    instance = workload.instance
     points = list(range(instance.num_points))
     heavy = detect_heavy_commodities(instance.cost_function, points[:4])
-    reference = reference_cost(workload, local_search_iterations=0)
+    reference = reference_cost(instance, local_search_iterations=0)
     heavy_algorithm, excluded = heavy_aware_pd(instance.cost_function, points[:4])
     algorithms = {
         "pd-omflp": PDOMFLPAlgorithm(),

@@ -23,8 +23,8 @@ from repro.analysis.regression import fit_log_growth
 from repro.analysis.runner import ExperimentResult
 from repro.api.components import ALGORITHMS
 from repro.engine import ExperimentPlan, ResultStore, engine_task, run_plan
+from repro.scenarios import scenario_from_dict
 from repro.utils.rng import RandomState
-from repro.workloads.uniform import uniform_workload
 
 __all__ = ["run", "build_plan", "EXPERIMENT_ID"]
 
@@ -37,16 +37,18 @@ ALGORITHM_NAMES = ("fotakis-ofl", "meyerson-ofl")
 @engine_task("fotakis-ofl-regression/workload")
 def substrate_case(case: Dict[str, Any], rng: np.random.Generator) -> List[Dict[str, Any]]:
     """Both substrates on one single-commodity workload, shared reference."""
-    workload = uniform_workload(
-        num_requests=case["num_requests"],
-        num_commodities=1,
-        num_points=32,
-        metric_kind="line",
-        max_demand=1,
-        cost_exponent_x=0.0,
-        cost_scale=0.25,
-        rng=case["seed"],
-    )
+    workload = scenario_from_dict(
+        {
+            "kind": "uniform",
+            "num_requests": case["num_requests"],
+            "num_commodities": 1,
+            "num_points": 32,
+            "metric_kind": "line",
+            "max_demand": 1,
+            "cost_exponent_x": 0.0,
+            "cost_scale": 0.25,
+        }
+    ).realize(case["seed"])
     reference = reference_cost(workload, local_search_iterations=5)
     rows: List[Dict[str, Any]] = []
     for name in case["algorithms"]:

@@ -32,8 +32,8 @@ from repro.costs.count_based import PowerCost
 from repro.engine import ExperimentPlan, ResultStore, engine_task, run_plan
 from repro.lowerbound.adaptive import predicted_adaptive_ratio
 from repro.lowerbound.single_point import run_single_point_game
+from repro.scenarios import scenario_from_dict
 from repro.utils.rng import RandomState
-from repro.workloads.clustered import clustered_workload
 
 __all__ = ["run", "build_plan", "EXPERIMENT_ID"]
 
@@ -74,13 +74,15 @@ def workload_case(case: Dict[str, Any], rng: np.random.Generator) -> List[Dict[s
     """Clustered ``g_x``-cost workload; one row per algorithm, shared reference."""
     x = float(case["x"])
     num_commodities = case["num_commodities"]
-    workload = clustered_workload(
-        num_requests=case["num_requests"],
-        num_commodities=num_commodities,
-        num_clusters=4,
-        cost_function=PowerCost(num_commodities, x),
-        rng=case["workload_seed"],
-    )
+    workload = scenario_from_dict(
+        {
+            "kind": "clustered",
+            "num_requests": case["num_requests"],
+            "num_commodities": num_commodities,
+            "num_clusters": 4,
+            "cost_exponent_x": x,
+        }
+    ).realize(case["workload_seed"])
     reference = reference_cost(workload, local_search_iterations=0)
     predicted_upper = math.sqrt(num_commodities) ** PowerCost(
         num_commodities, x

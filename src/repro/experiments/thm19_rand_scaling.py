@@ -24,8 +24,8 @@ from repro.api.components import ALGORITHMS
 from repro.engine import ExperimentPlan, ResultStore, engine_task, run_plan
 from repro.experiments import thm4_pd_scaling
 from repro.experiments.thm4_pd_scaling import append_scaling_notes, scaling_cases
+from repro.scenarios import scenario_from_dict
 from repro.utils.rng import RandomState
-from repro.workloads.clustered import clustered_workload
 
 __all__ = ["run", "build_plan", "EXPERIMENT_ID"]
 
@@ -38,9 +38,14 @@ def head_to_head_cell(case: Dict[str, Any], rng: np.random.Generator) -> Dict[st
     """RAND vs PD on one identical clustered workload."""
     n = case["num_requests"]
     s = case["num_commodities"]
-    workload = clustered_workload(
-        num_requests=n, num_commodities=s, num_clusters=max(2, s // 4), rng=12345 + n + s
-    )
+    workload = scenario_from_dict(
+        {
+            "kind": "clustered",
+            "num_requests": n,
+            "num_commodities": s,
+            "num_clusters": max(2, s // 4),
+        }
+    ).realize(12345 + n + s)
     reference = reference_cost(workload, local_search_iterations=0)
     pd = measure_competitive_ratio(
         ALGORITHMS.build("pd-omflp"), workload, reference=reference, rng=rng

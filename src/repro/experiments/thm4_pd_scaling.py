@@ -30,8 +30,8 @@ from repro.analysis.regression import fit_log_growth, fit_power_law
 from repro.analysis.runner import ExperimentResult
 from repro.api.components import ALGORITHMS
 from repro.engine import ExperimentPlan, ResultStore, engine_task, run_plan
+from repro.scenarios import scenario_from_dict
 from repro.utils.rng import RandomState
-from repro.workloads.clustered import clustered_workload
 
 __all__ = ["run", "build_plan", "EXPERIMENT_ID", "scaling_cases", "append_scaling_notes"]
 
@@ -48,12 +48,14 @@ def scaling_cell(case: Dict[str, Any], rng: np.random.Generator) -> Dict[str, An
     """
     num_requests = case["num_requests"]
     num_commodities = case["num_commodities"]
-    workload = clustered_workload(
-        num_requests=num_requests,
-        num_commodities=num_commodities,
-        num_clusters=max(2, num_commodities // 4),
-        rng=case["workload_seed"],
-    )
+    workload = scenario_from_dict(
+        {
+            "kind": "clustered",
+            "num_requests": num_requests,
+            "num_commodities": num_commodities,
+            "num_clusters": max(2, num_commodities // 4),
+        }
+    ).realize(case["workload_seed"])
     reference = reference_cost(workload, local_search_iterations=0)
     measurement = measure_competitive_ratio(
         ALGORITHMS.build(case["algorithm"]),

@@ -1,7 +1,7 @@
 """Contract rules: registry introspection over the live component catalog.
 
 Where the determinism rules read *source*, these rules read the *registries*:
-they import the real component catalog (ALGORITHMS, SCENARIOS, WORKLOADS, …)
+they import the real component catalog (ALGORITHMS, SCENARIOS, SOLVERS, …)
 and verify that every registered component honors the cross-cutting contracts
 the rest of the system is built on:
 
@@ -125,24 +125,22 @@ class ContractContext:
     def strict_registries(self) -> Mapping[str, Registry]:
         """Registries that *must* enforce strict kwarg validation."""
         if self._strict_registries is None:
-            from repro.api.components import WORKLOADS
             from repro.scenarios import SCENARIOS
 
-            self._strict_registries = {"workload": WORKLOADS, "scenario": SCENARIOS}
+            self._strict_registries = {"scenario": SCENARIOS}
         return self._strict_registries
 
     @property
     def param_registries(self) -> Mapping[str, Registry]:
         """Registries whose builders must expose introspectable signatures."""
         if self._param_registries is None:
-            from repro.api.components import ALGORITHMS, COSTS, METRICS, SOLVERS, WORKLOADS
+            from repro.api.components import ALGORITHMS, COSTS, METRICS, SOLVERS
             from repro.engine.tasks import TASKS
             from repro.scenarios import SCENARIOS
 
             self._param_registries = {
                 "metric": METRICS,
                 "cost": COSTS,
-                "workload": WORKLOADS,
                 "algorithm": ALGORITHMS,
                 "solver": SOLVERS,
                 "scenario": SCENARIOS,

@@ -8,8 +8,7 @@ the contracts).  Importing this package registers every stock kind on
 
 ==================  =========================================================
 primitive           ``uniform``, ``clustered``, ``zipf``, ``service-network``
-                    (streaming-native ports of the eager workloads),
-                    ``burst``, ``drift``
+                    (the synthetic workload families), ``burst``, ``drift``
 adversarial         ``single-point`` (Theorem 2), ``fotakis-line``
                     (Corollary 3 stress family), ``adaptive`` (feedback)
 replay              ``replay`` (re-emit a recorded trace)
@@ -31,6 +30,7 @@ Quickstart
 
 from repro.scenarios.base import (
     SCENARIOS,
+    GeneratedWorkload,
     Scenario,
     ScenarioEnvironment,
     ScenarioRequest,
@@ -76,6 +76,7 @@ from repro.scenarios.run import (
 
 __all__ = [
     "SCENARIOS",
+    "GeneratedWorkload",
     "Scenario",
     "ScenarioEnvironment",
     "ScenarioRequest",

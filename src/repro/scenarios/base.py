@@ -42,7 +42,7 @@ can be rebuilt deterministically without replaying any part of the stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -58,6 +58,7 @@ from typing import (
 
 import numpy as np
 
+from repro.algorithms.offline.planted import PlantedSolver
 from repro.api.registry import Registry
 from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
@@ -75,6 +76,7 @@ from repro.utils.rng import (
 
 __all__ = [
     "SCENARIOS",
+    "GeneratedWorkload",
     "Scenario",
     "ScenarioEnvironment",
     "ScenarioRequest",
@@ -91,7 +93,7 @@ STREAM_STATE_FORMAT = "repro-scenario-stream"
 
 #: All registered scenario kinds.  Strict parameters: a typo'd keyword in a
 #: scenario spec raises :class:`~repro.exceptions.ReproError` naming the
-#: offending key (same contract as the WORKLOADS registry).
+#: offending key.
 SCENARIOS = Registry("scenario", strict_params=True)
 
 
@@ -204,8 +206,8 @@ class ScenarioEnvironment:
     This is exactly what the paper's online model reveals in advance (Section
     1.1): the metric space, the facility cost function and the commodity
     universe — never the requests.  ``planted_specs`` optionally carries the
-    generator's known-good offline facilities (same convention as
-    :class:`~repro.workloads.base.GeneratedWorkload`).
+    generator's known-good offline facilities (handed on to
+    :class:`GeneratedWorkload` by :meth:`Scenario.realize`).
     """
 
     metric: MetricSpace
@@ -231,6 +233,40 @@ class ScenarioEnvironment:
             "cost": getattr(self.cost, "name", type(self.cost).__name__),
             "has_planted_solution": bool(self.planted_specs),
         }
+
+
+@dataclass
+class GeneratedWorkload:
+    """A realized instance plus the generator's side information.
+
+    Attributes
+    ----------
+    instance:
+        The materialized OMFLP instance.
+    planted_specs:
+        Optional list of ``(point, configuration)`` facilities that the
+        generator considers a good offline solution (clustered scenarios plant
+        one facility per cluster).  ``planted_solver()`` wraps them into an
+        offline reference.
+    metadata:
+        Free-form generator parameters recorded for experiment tables.
+    """
+
+    instance: Instance
+    planted_specs: Optional[List[Tuple[int, FrozenSet[int]]]] = None
+    metadata: Dict[str, object] = field(default_factory=dict)
+
+    def planted_solver(self) -> Optional[PlantedSolver]:
+        """Offline reference solver evaluating the planted facilities, if any."""
+        if not self.planted_specs:
+            return None
+        return PlantedSolver(self.planted_specs)
+
+    def describe(self) -> Dict[str, object]:
+        info = dict(self.instance.describe())
+        info.update(self.metadata)
+        info["has_planted_solution"] = bool(self.planted_specs)
+        return info
 
 
 # ----------------------------------------------------------------------
@@ -446,15 +482,12 @@ class Scenario:
 
     def realize(
         self, seed: RandomState = None, *, limit: Optional[int] = None
-    ) -> "GeneratedWorkload":
+    ) -> GeneratedWorkload:
         """Materialize the scenario eagerly (bit-identical to streaming it).
 
-        Drains a fresh :meth:`open` stream into a
-        :class:`~repro.workloads.base.GeneratedWorkload`; unbounded scenarios
-        need an explicit ``limit``.
+        Drains a fresh :meth:`open` stream into a :class:`GeneratedWorkload`;
+        unbounded scenarios need an explicit ``limit``.
         """
-        from repro.workloads.base import GeneratedWorkload
-
         stream = self.open(seed)
         target = limit if limit is not None else self.length
         if target is None:

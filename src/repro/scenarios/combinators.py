@@ -10,7 +10,7 @@ declarative specs, so arbitrary compositions remain plain JSON:
   (concurrent tenants sharing one facility infrastructure);
 * :class:`PermuteScenario` / :class:`ArrivalOrderScenario` — arrival-order
   transforms of a finite child (uniformly random order vs the heuristic
-  adversarial orders of :mod:`repro.workloads.orders`), reflecting the
+  adversarial order of :func:`sparse_first_order`), reflecting the
   weakened-adversary discussion of Section 1.2;
 * :class:`CommodityOverlayScenario` — per-commodity overlays on a child's
   demands (inject a heavy commodity into a fraction of requests, remap
@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ScenarioError
+from repro.metric.base import MetricSpace
 from repro.scenarios.base import (
     Scenario,
     ScenarioEnvironment,
@@ -54,6 +55,7 @@ from repro.scenarios.base import (
 from repro.utils.rng import RandomState, ensure_rng, spawn_child_seeds
 
 __all__ = [
+    "sparse_first_order",
     "MixtureScenario",
     "ConcatScenario",
     "InterleaveScenario",
@@ -61,6 +63,31 @@ __all__ = [
     "ArrivalOrderScenario",
     "CommodityOverlayScenario",
 ]
+
+
+def sparse_first_order(
+    metric: MetricSpace,
+    requests: Sequence[ScenarioRequest],
+    *,
+    reverse: bool = False,
+) -> List[int]:
+    """The heuristic adversarial arrival order: sparse demands first.
+
+    Classical hard sequences reveal little information early (isolated,
+    small demands) and concentrate mass late.  Positions are sorted by
+    ``(demand size, -distance from the modal request location, position)``,
+    so small demands come first and, among equal sizes, points far from
+    where most requests land; ``reverse=True`` gives the dense-first
+    inverse.  Returns the permutation of positions.
+    """
+    points = np.asarray([point for point, _ in requests], dtype=np.intp)
+    modal = int(np.argmax(np.bincount(points, minlength=metric.num_points)))
+    row = metric.distances_from(modal)
+    keys = [
+        (len(commodities), -float(row[point]), index)
+        for index, (point, commodities) in enumerate(requests)
+    ]
+    return [index for _, _, index in sorted(keys, reverse=reverse)]
 
 
 def _resolve_children(kind: str, children: Any, *, minimum: int = 1) -> List[Scenario]:
@@ -444,10 +471,10 @@ class PermuteScenario(_BufferedTransformScenario):
 class ArrivalOrderScenario(_BufferedTransformScenario):
     """Deterministic arrival-order transforms of a finite child scenario.
 
-    ``order`` mirrors :mod:`repro.workloads.orders`: ``"sparse-first"`` is
-    the heuristic adversarial order (small demands first, far-from-modal
-    points first), ``"dense-first"`` its inverse, ``"reversed"`` flips the
-    child, ``"random"`` is a uniformly random permutation.
+    ``"sparse-first"`` is the heuristic adversarial order of
+    :func:`sparse_first_order`, ``"dense-first"`` its inverse,
+    ``"reversed"`` flips the child, ``"random"`` is a uniformly random
+    permutation.
     """
 
     ORDERS = ("sparse-first", "dense-first", "reversed", "random")
@@ -467,17 +494,9 @@ class ArrivalOrderScenario(_BufferedTransformScenario):
         elif self.order == "reversed":
             order = list(range(len(buffer) - 1, -1, -1))
         else:
-            # Distance of each request from the modal request location, as in
-            # repro.workloads.orders.adversarial_order.
-            points = np.asarray([point for point, _ in buffer], dtype=np.intp)
-            counts = np.bincount(points, minlength=environment.num_points)
-            modal = int(np.argmax(counts))
-            row = environment.metric.distances_from(modal)
-            keys = []
-            for index, (point, commodities) in enumerate(buffer):
-                keys.append((len(commodities), -float(row[point]), index))
-            ordered = sorted(keys, reverse=(self.order == "dense-first"))
-            order = [index for _, _, index in ordered]
+            order = sparse_first_order(
+                environment.metric, buffer, reverse=(self.order == "dense-first")
+            )
         return _BufferedStream(self, environment, rng, [buffer[int(i)] for i in order])
 
 

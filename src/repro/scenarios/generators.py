@@ -1,14 +1,15 @@
 """Primitive streaming scenario generators.
 
-The four legacy workload families (``uniform``, ``clustered``, ``zipf``,
-``service-network``) are re-expressed here as *streaming-native* scenarios:
-the environment (metric, cost, cluster geometry, service profiles) is built
-up front from the environment child seed, and requests are then drawn one at
-a time — a 10^6-request run never materializes a request array.  Each mirrors
-the parameter surface of its eager counterpart in :mod:`repro.workloads`, so
-the old workload spec dicts double as scenario specs.
+The four synthetic workload families (``uniform``, ``clustered``, ``zipf``,
+``service-network``) are *streaming-native* scenarios: the environment
+(metric, cost, cluster geometry, service profiles) is built up front from the
+environment child seed, and requests are then drawn one at a time — a
+10^6-request run never materializes a request array.  They are the library's
+only generators for these families; a RunSpec's ``workload`` key is an alias
+of ``scenario``, and :meth:`~repro.scenarios.base.Scenario.realize` gives the
+eager form.
 
-Two new arrival processes exercise regimes the eager generators cannot:
+Two more arrival processes exercise nonstationary regimes:
 
 * :class:`BurstScenario` — hotspot arrival *clumps*: the stream alternates
   between geometrically-sized bursts anchored at a hotspot (same neighborhood,

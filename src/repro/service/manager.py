@@ -171,10 +171,11 @@ class SessionManager:
         """Create a named session from a declarative RunSpec dict.
 
         The spec supplies the fixed problem environment (metric, cost,
-        commodities — directly or via a workload) and the seed; any requests
+        commodities — directly or via a scenario) and the seed; any requests
         it carries are *not* pre-submitted, the stream arrives through
-        :meth:`submit`.  A ``seed`` is required so that evicted sessions can
-        rebuild their environment bit-identically from the spec alone.
+        :meth:`submit` (or, for a scenario spec, :meth:`advance`).  A
+        ``seed`` is required so that evicted sessions can rebuild their
+        environment bit-identically from the spec alone.
 
         ``telemetry`` opts the session into streaming metrics (``True`` for
         the stock probe catalog, or a list of probe names/spec dicts — see
@@ -220,8 +221,8 @@ class SessionManager:
             name=run_spec.name or name,
             telemetry=telemetry,
         )
-        # Seed provenance: the generator object was threaded through workload
-        # generation, so record the spec seed explicitly on the session.
+        # Seed provenance: the generator object was threaded through
+        # environment generation, so record the spec seed explicitly on the session.
         session._seed = run_spec.seed
         self._live[name] = _ManagedSession(
             name=name, spec=spec_dict, session=session, stream=stream

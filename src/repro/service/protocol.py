@@ -63,7 +63,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Dict, IO, Mapping, Optional, Union
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, ServiceError
 from repro.service.manager import SessionManager
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -191,9 +191,9 @@ class ServiceProtocol:
     def _op_advance(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         name = self._required(message, "name")
         count = message.get("count")
-        events, exhausted = self._manager.advance(
-            name, int(count) if count is not None else None
-        )
+        if count is not None and (isinstance(count, bool) or not isinstance(count, int)):
+            raise ServiceError(f"advance field 'count' must be an integer, got {count!r}")
+        events, exhausted = self._manager.advance(name, count)
         return {
             "ok": True,
             "name": name,

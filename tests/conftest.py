@@ -12,7 +12,7 @@ from repro.metric.line import LineMetric
 from repro.metric.matrix import ExplicitMetric
 from repro.metric.single_point import SinglePointMetric
 from repro.metric.factories import uniform_line_metric
-from repro.workloads.uniform import uniform_workload
+from repro.scenarios import GeneratedWorkload, scenario_from_dict
 
 
 @pytest.fixture
@@ -72,13 +72,19 @@ def single_point_instance_constant() -> Instance:
     return Instance(SinglePointMetric(), ConstantCost(6), requests, name="single-point-constant")
 
 
+def realize(kind: str, seed: int, **params) -> GeneratedWorkload:
+    """Realize a bounded scenario of ``kind`` (e.g. ``"uniform"``) at ``seed``."""
+    return scenario_from_dict({"kind": kind, **params}).realize(seed)
+
+
 def random_small_instance(seed: int, *, num_requests: int = 10, num_commodities: int = 3,
                           num_points: int = 5) -> Instance:
     """Deterministic small random instance for cross-algorithm comparisons."""
-    return uniform_workload(
+    return realize(
+        "uniform",
+        seed,
         num_requests=num_requests,
         num_commodities=num_commodities,
         num_points=num_points,
         max_demand=min(num_commodities, 3),
-        rng=seed,
     ).instance

@@ -42,8 +42,7 @@ from repro.metric.grid import GridMetric
 from repro.metric.matrix import ExplicitMetric
 from repro.metric.single_point import SinglePointMetric
 from repro.utils.rng import ensure_rng
-from repro.workloads.clustered import clustered_workload
-from repro.workloads.uniform import uniform_workload
+from tests.conftest import realize
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -89,8 +88,8 @@ def _line_single(seed: int) -> Instance:
 
 
 def _clustered_multi(seed: int) -> Instance:
-    return clustered_workload(
-        num_requests=25, num_commodities=6, num_clusters=3, rng=seed
+    return realize(
+        "clustered", seed, num_requests=25, num_commodities=6, num_clusters=3
     ).instance
 
 
@@ -117,8 +116,8 @@ def _single_point_multi(seed: int) -> Instance:
 
 
 def _uniform_euclidean_multi(seed: int) -> Instance:
-    return uniform_workload(
-        num_requests=25, num_commodities=5, num_points=36, rng=seed
+    return realize(
+        "uniform", seed, num_requests=25, num_commodities=5, num_points=36
     ).instance
 
 

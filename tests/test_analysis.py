@@ -22,8 +22,7 @@ from repro.analysis import (
 )
 from repro.analysis.competitive import ReferenceCost
 from repro.exceptions import ExperimentError
-from repro.workloads.clustered import clustered_workload
-from repro.workloads.uniform import uniform_workload
+from tests.conftest import realize
 
 
 class TestReferenceCost:
@@ -39,7 +38,7 @@ class TestReferenceCost:
         assert reference.value == pytest.approx(exact)
 
     def test_upper_bound_for_larger_instance(self):
-        workload = clustered_workload(num_requests=25, num_commodities=8, num_clusters=3, rng=0)
+        workload = realize("clustered", 0, num_requests=25, num_commodities=8, num_clusters=3)
         reference = reference_cost(workload, local_search_iterations=2)
         assert reference.kind == "upper-bound"
         assert reference.value > 0

@@ -18,7 +18,6 @@ from repro.api import (
     COSTS,
     METRICS,
     SOLVERS,
-    WORKLOADS,
     OnlineSession,
     Registry,
     RunRecord,
@@ -39,7 +38,16 @@ from repro.exceptions import (
 )
 from repro.experiments.cli import main
 from repro.metric.factories import uniform_line_metric
-from repro.workloads.uniform import uniform_workload
+from repro.scenarios import SCENARIOS
+from tests.conftest import realize
+
+#: One small spec per synthetic workload family.
+ALIAS_SCENARIOS = {
+    "uniform": {"kind": "uniform", "num_requests": 12, "num_commodities": 4},
+    "clustered": {"kind": "clustered", "num_requests": 12, "num_commodities": 6},
+    "zipf": {"kind": "zipf", "num_requests": 12, "num_commodities": 6},
+    "service-network": {"kind": "service-network", "num_requests": 12, "num_services": 5},
+}
 
 DICT_SPEC = {
     "algorithm": "pd-omflp",
@@ -54,7 +62,7 @@ class TestRegistry:
     def test_stock_registries_are_populated(self):
         assert "uniform-line" in METRICS
         assert "power" in COSTS
-        assert "uniform" in WORKLOADS
+        assert "uniform" in SCENARIOS
         assert "pd-omflp" in ALGORITHMS
         assert "local-search" in SOLVERS
 
@@ -111,6 +119,11 @@ class TestRunSpec:
         }
         spec = RunSpec.from_dict(data)
         assert RunSpec.from_dict(spec.to_dict()) == spec
+        # "workload" is stored and serialized as "scenario".
+        assert spec.to_dict()["scenario"] == data["workload"]
+        assert "workload" not in spec.to_dict()
+        scenario_data = {k: v for k, v in data.items() if k != "workload"}
+        assert spec == RunSpec.from_dict(dict(scenario_data, scenario=data["workload"]))
 
     def test_string_algorithm_normalizes(self):
         spec = RunSpec.from_dict(dict(DICT_SPEC, algorithm="pd-omflp"))
@@ -212,8 +225,21 @@ class TestRun:
             base, ParameterGrid({"workload.num_commodities": [2, 4], "seed": [0, 1]})
         )
         assert len(records) == 4
-        sizes = {r.spec["workload"]["num_commodities"] for r in records}
+        sizes = {r.spec["scenario"]["num_commodities"] for r in records}
         assert sizes == {2, 4}
+
+    @pytest.mark.parametrize("algorithm", ["rand-omflp", "greedy"])  # online, offline
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("kind", sorted(ALIAS_SCENARIOS))
+    def test_workload_runs_exactly_like_scenario(self, kind, seed, algorithm):
+        spec = ALIAS_SCENARIOS[kind]
+        records = [
+            run({"algorithm": algorithm, key: spec, "seed": seed}).to_dict()
+            for key in ("workload", "scenario")
+        ]
+        for record in records:
+            del record["runtime_seconds"]
+        assert records[0] == records[1]
 
 
 class TestRunRecord:
@@ -247,9 +273,7 @@ class TestRunRecord:
 class TestOnlineSession:
     @pytest.mark.parametrize("algorithm_cls", [PDOMFLPAlgorithm, RandOMFLPAlgorithm])
     def test_streaming_equals_batch(self, algorithm_cls):
-        workload = uniform_workload(
-            num_requests=25, num_commodities=6, num_points=16, rng=5
-        )
+        workload = realize("uniform", 5, num_requests=25, num_commodities=6, num_points=16)
         instance = workload.instance
         batch = run_online(algorithm_cls(), instance, rng=11)
         session = OnlineSession(

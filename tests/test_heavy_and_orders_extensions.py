@@ -5,6 +5,7 @@ import pytest
 
 from repro.algorithms.base import run_online
 from repro.algorithms.online.threshold import ThresholdPDAlgorithm
+from repro.core.instance import Instance
 from repro.costs.count_based import PowerCost
 from repro.costs.general import WeightedConcaveCost
 from repro.costs.heavy import (
@@ -14,7 +15,7 @@ from repro.costs.heavy import (
 )
 from repro.exceptions import InvalidCostFunctionError
 from repro.experiments import run_experiment
-from repro.workloads.uniform import uniform_workload
+from tests.conftest import realize
 
 
 class TestHeavyDetection:
@@ -52,12 +53,13 @@ class TestHeavyDetection:
 
     def test_heavy_aware_pd_runs_feasibly(self):
         cost = WeightedConcaveCost([1.0, 1.0, 1.0, 200.0])
-        workload = uniform_workload(
-            num_requests=12, num_commodities=4, num_points=6, cost_function=cost, rng=0
-        )
+        requests = realize(
+            "uniform", 0, num_requests=12, num_commodities=4, num_points=6
+        ).instance
+        instance = Instance(requests.metric, cost, requests.requests)
         algorithm, excluded = heavy_aware_pd(cost, list(range(6)))
-        result = run_online(algorithm, workload.instance)
-        result.solution.validate(workload.instance.requests)
+        result = run_online(algorithm, instance)
+        result.solution.validate(instance.requests)
         # Heavy commodities never appear in multi-commodity facilities.
         for facility in result.solution.facilities:
             if len(facility.configuration) > 1:

@@ -29,8 +29,7 @@ from repro import (
 from repro.analysis.competitive import measure_competitive_ratio, reference_cost
 from repro.dual import check_dual_feasibility, paper_scaling_factor
 from repro.utils.maths import harmonic_number
-from repro.workloads import clustered_workload, service_network_workload, uniform_workload
-from tests.conftest import random_small_instance
+from tests.conftest import random_small_instance, realize
 
 ALL_ONLINE_ALGORITHMS = [
     PDOMFLPAlgorithm,
@@ -45,9 +44,7 @@ ALL_ONLINE_ALGORITHMS = [
 class TestEveryAlgorithmOnEveryWorkload:
     @pytest.mark.parametrize("factory", ALL_ONLINE_ALGORITHMS)
     def test_feasible_on_uniform_workload(self, factory):
-        workload = uniform_workload(
-            num_requests=15, num_commodities=5, num_points=10, rng=0
-        )
+        workload = realize("uniform", 0, num_requests=15, num_commodities=5, num_points=10)
         result = run_online(factory(), workload.instance, rng=1)
         result.solution.validate(workload.instance.requests)
         assert result.total_cost > 0
@@ -55,17 +52,13 @@ class TestEveryAlgorithmOnEveryWorkload:
 
     @pytest.mark.parametrize("factory", ALL_ONLINE_ALGORITHMS)
     def test_feasible_on_clustered_workload(self, factory):
-        workload = clustered_workload(
-            num_requests=15, num_commodities=6, num_clusters=2, rng=1
-        )
+        workload = realize("clustered", 1, num_requests=15, num_commodities=6, num_clusters=2)
         result = run_online(factory(), workload.instance, rng=2)
         result.solution.validate(workload.instance.requests)
 
     @pytest.mark.parametrize("factory", ALL_ONLINE_ALGORITHMS)
     def test_feasible_on_service_network(self, factory):
-        workload = service_network_workload(
-            num_requests=12, num_services=4, num_nodes=8, rng=2
-        )
+        workload = realize("service-network", 2, num_requests=12, num_services=4, num_nodes=8)
         result = run_online(factory(), workload.instance, rng=3)
         result.solution.validate(workload.instance.requests)
 
@@ -81,21 +74,22 @@ class TestCompetitiveRatios:
 
     def test_pd_beats_per_commodity_on_bundled_demand(self):
         """Clustered demand with shared bundles: PD should not lose to the decomposition."""
-        workload = clustered_workload(
+        workload = realize(
+            "clustered",
+            3,
             num_requests=40,
             num_commodities=8,
             num_clusters=2,
             cluster_radius=0.01,
             demand_size=4,
             cost_exponent_x=0.5,
-            rng=3,
         )
         pd = run_online(PDOMFLPAlgorithm(), workload.instance)
         per_commodity = run_online(PerCommodityAlgorithm("fotakis"), workload.instance)
         assert pd.total_cost <= per_commodity.total_cost * 1.05
 
     def test_measured_ratio_via_reference_portfolio(self):
-        workload = clustered_workload(num_requests=20, num_commodities=6, num_clusters=2, rng=4)
+        workload = realize("clustered", 4, num_requests=20, num_commodities=6, num_clusters=2)
         reference = reference_cost(workload, local_search_iterations=2)
         measurement = measure_competitive_ratio(
             PDOMFLPAlgorithm(), workload, reference=reference
@@ -153,14 +147,14 @@ class TestDocstringQuickstart:
 )
 def test_opt_dominance_property(seed, num_commodities, num_requests):
     """Property: OPT <= greedy offline <= max(online algorithms); all feasible."""
-    workload = uniform_workload(
+    instance = realize(
+        "uniform",
+        seed,
         num_requests=num_requests,
         num_commodities=num_commodities,
         num_points=4,
         max_demand=num_commodities,
-        rng=seed,
-    )
-    instance = workload.instance
+    ).instance
     opt = BruteForceSolver().solve(instance).total_cost
     greedy = GreedyOfflineSolver().solve(instance).total_cost
     pd = run_online(PDOMFLPAlgorithm(), instance).total_cost

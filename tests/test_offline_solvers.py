@@ -22,9 +22,7 @@ from repro.core.requests import Request, RequestSequence
 from repro.costs.count_based import ConstantCost, LinearCost, PowerCost
 from repro.exceptions import AlgorithmError, InfeasibleSolutionError
 from repro.metric.factories import uniform_line_metric
-from repro.workloads.clustered import clustered_workload
-from repro.workloads.uniform import uniform_workload
-from tests.conftest import random_small_instance
+from tests.conftest import random_small_instance, realize
 
 
 class TestOptimalAssignment:
@@ -141,9 +139,7 @@ class TestHeuristicSolvers:
             LocalSearchSolver(initial_specs=[(0, {0})], max_iterations=1).solve(tiny_instance)
 
     def test_greedy_on_clustered_workload_close_to_planted(self):
-        workload = clustered_workload(
-            num_requests=20, num_commodities=6, num_clusters=2, rng=0
-        )
+        workload = realize("clustered", 0, num_requests=20, num_commodities=6, num_clusters=2)
         greedy = GreedyOfflineSolver().solve(workload.instance)
         planted = PlantedSolver(workload.planted_specs).solve(workload.instance)
         assert greedy.total_cost <= 2.0 * planted.total_cost + 1e-9
@@ -178,8 +174,8 @@ class TestLPBound:
     def test_lp_size_guards(self, tiny_instance):
         with pytest.raises(AlgorithmError):
             lp_relaxation_lower_bound(tiny_instance, max_variables=10)
-        big = uniform_workload(
-            num_requests=3, num_commodities=15, num_points=3, rng=0
+        big = realize(
+            "uniform", 0, num_requests=3, num_commodities=15, num_points=3
         ).instance
         with pytest.raises(AlgorithmError):
             lp_relaxation_lower_bound(big)

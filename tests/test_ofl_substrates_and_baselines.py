@@ -17,11 +17,13 @@ from repro.costs.count_based import AdversaryCost, ConstantCost, LinearCost
 from repro.exceptions import AlgorithmError
 from repro.metric.factories import uniform_line_metric
 from repro.metric.single_point import SinglePointMetric
-from repro.workloads.uniform import uniform_workload
+from tests.conftest import realize
 
 
 def single_commodity_instance(num_requests: int = 10, seed: int = 0) -> Instance:
-    return uniform_workload(
+    return realize(
+        "uniform",
+        seed,
         num_requests=num_requests,
         num_commodities=1,
         num_points=16,
@@ -29,7 +31,6 @@ def single_commodity_instance(num_requests: int = 10, seed: int = 0) -> Instance
         max_demand=1,
         cost_exponent_x=0.0,
         cost_scale=0.3,
-        rng=seed,
     ).instance
 
 

@@ -16,8 +16,7 @@ from repro.dual import check_dual_feasibility, paper_scaling_factor
 from repro.exceptions import AlgorithmError
 from repro.metric.factories import uniform_line_metric
 from repro.metric.single_point import SinglePointMetric
-from repro.workloads.uniform import uniform_workload
-from tests.conftest import random_small_instance
+from tests.conftest import random_small_instance, realize
 
 
 class TestPDOnMicroInstances:
@@ -181,8 +180,8 @@ class TestPDErrorHandling:
 @given(seed=st.integers(min_value=0, max_value=5000))
 def test_pd_feasibility_and_duality_property(seed):
     """Property: on random instances PD is feasible and primal <= 3 * duals."""
-    workload = uniform_workload(
-        num_requests=8, num_commodities=3, num_points=5, max_demand=3, rng=seed
+    workload = realize(
+        "uniform", seed, num_requests=8, num_commodities=3, num_points=5, max_demand=3
     )
     result = run_online(PDOMFLPAlgorithm(), workload.instance)
     result.solution.validate(workload.instance.requests)

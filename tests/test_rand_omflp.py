@@ -14,8 +14,7 @@ from repro.costs.count_based import ConstantCost
 from repro.exceptions import AlgorithmError
 from repro.metric.factories import uniform_line_metric
 from repro.metric.single_point import SinglePointMetric
-from repro.workloads.uniform import uniform_workload
-from tests.conftest import random_small_instance
+from tests.conftest import random_small_instance, realize
 
 
 class TestRandBasics:
@@ -99,8 +98,8 @@ class TestRandBehaviour:
 @given(seed=st.integers(min_value=0, max_value=5000))
 def test_rand_always_feasible_property(seed):
     """Property: RAND-OMFLP always produces a feasible solution."""
-    workload = uniform_workload(
-        num_requests=8, num_commodities=3, num_points=5, max_demand=3, rng=seed
+    workload = realize(
+        "uniform", seed, num_requests=8, num_commodities=3, num_points=5, max_demand=3
     )
     result = run_online(RandOMFLPAlgorithm(), workload.instance, rng=seed)
     result.solution.validate(workload.instance.requests)

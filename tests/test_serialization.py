@@ -19,7 +19,7 @@ from repro.core.instance import Instance
 from repro.core.requests import RequestSequence
 from repro.exceptions import InvalidInstanceError
 from repro.metric.factories import uniform_line_metric
-from repro.workloads.uniform import uniform_workload
+from tests.conftest import realize
 
 
 class TestRoundTrip:
@@ -57,7 +57,7 @@ class TestRoundTrip:
             assert clone.cost_function.full_cost(point) == pytest.approx(cost.full_cost(point))
 
     def test_named_commodities_preserved(self):
-        workload = uniform_workload(num_requests=5, num_commodities=3, num_points=4, rng=0)
+        workload = realize("uniform", 0, num_requests=5, num_commodities=3, num_points=4)
         data = instance_to_dict(workload.instance)
         clone = instance_from_dict(data)
         assert clone.commodities.name_of(1) == workload.instance.commodities.name_of(1)

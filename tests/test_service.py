@@ -24,15 +24,22 @@ from repro.service import ServiceProtocol, SessionManager, components_from_spec
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _spec(seed: int, *, num_requests: int = 6) -> dict:
+def _spec(seed: int) -> dict:
+    """A client-driven (``submit``) session on a seeded random environment."""
     return {
         "algorithm": "rand-omflp",
-        "workload": {
-            "kind": "uniform",
-            "num_requests": num_requests,
-            "num_commodities": 4,
-            "num_points": 10,
-        },
+        "metric": {"kind": "random-euclidean", "num_points": 10},
+        "cost": {"kind": "power", "num_commodities": 4, "exponent_x": 1.0},
+        "requests": [],
+        "seed": seed,
+    }
+
+
+def _scenario_spec(seed: int) -> dict:
+    """A scenario-backed (``advance``) session streaming a zipf scenario."""
+    return {
+        "algorithm": "rand-omflp",
+        "scenario": {"kind": "zipf", "num_requests": 24, "num_commodities": 8},
         "seed": seed,
     }
 
@@ -103,6 +110,25 @@ def test_manager_eviction_roundtrip_is_bit_identical(tmp_path):
     assert events == solo_events
     assert manager.finalize("durable").total_cost == solo.finalize().total_cost
     assert not path.exists()  # finalize cleans the snapshot file
+
+
+def test_manager_scenario_session_evicted_and_reloaded_finalizes_like_its_twin(tmp_path):
+    """Reloading a scenario-backed session keeps the session's own name."""
+    twin = SessionManager()
+    twin.create("zipf-s", _scenario_spec(3))
+    twin.advance("zipf-s")
+    expected = twin.finalize("zipf-s").to_dict()
+
+    manager = SessionManager(snapshot_dir=tmp_path)
+    manager.create("zipf-s", _scenario_spec(3))
+    manager.advance("zipf-s", 10)
+    manager.evict("zipf-s")
+    manager.advance("zipf-s")  # transparent reload from disk
+    record = manager.finalize("zipf-s").to_dict()
+
+    assert record["instance"] == "zipf-s"
+    del record["runtime_seconds"], expected["runtime_seconds"]
+    assert record == expected
 
 
 def test_manager_lru_eviction_under_capacity_pressure(tmp_path):
@@ -233,6 +259,20 @@ def test_protocol_lifecycle_and_error_responses(tmp_path):
 
     down = protocol.handle({"op": "shutdown"})
     assert down["shutdown"] is True
+
+
+@pytest.mark.parametrize("count", ["2.7", "true", '"x"', "1e309"])
+def test_protocol_advance_rejects_non_integer_count(count):
+    protocol = ServiceProtocol(SessionManager())
+    assert protocol.handle({"op": "create", "name": "s", "spec": _scenario_spec(0)})["ok"]
+    assert protocol.handle({"op": "advance", "name": "s", "count": 3})["served"] == 3
+
+    line = '{"op": "advance", "name": "s", "count": %s}' % count
+    response = json.loads(protocol.handle_line(line))
+    assert response["ok"] is False
+    assert response["error_type"] == "ServiceError"
+    assert "'count'" in response["error"]
+    assert protocol.handle({"op": "status", "name": "s"})["session"]["num_requests"] == 3
 
 
 def test_protocol_registry_typo_gets_suggestion():

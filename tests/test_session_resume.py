@@ -41,7 +41,7 @@ from repro.metric.factories import random_euclidean_metric, random_line_metric
 from repro.metric.grid import GridMetric
 from repro.service.snapshot import SessionSnapshot
 from repro.utils.rng import ensure_rng
-from repro.workloads.clustered import clustered_workload
+from tests.conftest import realize
 
 SEEDS = [0, 1, 2]
 
@@ -83,8 +83,8 @@ def _euclidean_single(seed: int) -> Instance:
 
 
 def _clustered_multi(seed: int) -> Instance:
-    return clustered_workload(
-        num_requests=18, num_commodities=5, num_clusters=3, rng=seed
+    return realize(
+        "clustered", seed, num_requests=18, num_commodities=5, num_clusters=3
     ).instance
 
 
@@ -237,7 +237,7 @@ def test_snapshot_restores_from_embedded_spec():
     """A spec-embedded snapshot restores without re-supplying components."""
     spec = {
         "algorithm": "rand-omflp",
-        "workload": {
+        "scenario": {
             "kind": "uniform",
             "num_requests": 12,
             "num_commodities": 4,
@@ -245,9 +245,11 @@ def test_snapshot_restores_from_embedded_spec():
         },
         "seed": 5,
     }
+    from repro.api.spec import RunSpec
     from repro.service.snapshot import components_from_spec
 
     algorithm, instance, generator = components_from_spec(spec)
+    requests = RunSpec.from_dict(spec).build_instance().requests
     session = OnlineSession(
         algorithm,
         instance.metric,
@@ -255,12 +257,12 @@ def test_snapshot_restores_from_embedded_spec():
         commodities=instance.commodities,
         rng=generator,
     )
-    for request in instance.requests[:5]:
+    for request in requests[:5]:
         session.submit(request.point, request.commodities)
     snapshot = SessionSnapshot.from_json(session.snapshot(spec=spec).to_json())
 
     resumed = OnlineSession.restore(snapshot)
-    for request in instance.requests[5:]:
+    for request in requests[5:]:
         session.submit(request.point, request.commodities)
         resumed.submit(request.point, request.commodities)
     assert resumed.finalize().total_cost == session.finalize().total_cost
