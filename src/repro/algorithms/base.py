@@ -95,21 +95,27 @@ class OnlineAlgorithm(abc.ABC):
 
 @dataclass
 class OnlineResult:
-    """Outcome of one online run."""
+    """Outcome of one online run; the cost totals are views of ``breakdown``."""
 
     algorithm: str
     instance_name: str
     solution: Solution
-    opening_cost: float
-    connection_cost: float
     breakdown: CostBreakdown
     runtime_seconds: float
     trace: Trace
     duals: Optional[DualVariableStore] = None
 
     @property
+    def opening_cost(self) -> float:
+        return self.breakdown.opening
+
+    @property
+    def connection_cost(self) -> float:
+        return self.breakdown.connection
+
+    @property
     def total_cost(self) -> float:
-        return self.opening_cost + self.connection_cost
+        return self.breakdown.total
 
     def summary(self) -> Dict[str, object]:
         return {

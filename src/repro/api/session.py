@@ -262,7 +262,6 @@ class OnlineSession:
                 wall_start=build_start,
                 attributes={"use_accel": self._use_accel},
             )
-        self._requests: list[Request] = []
         self._runtime = 0.0
         self._record: Optional[RunRecord] = None
         # Served events waiting to be fanned out to the telemetry sink; see
@@ -307,7 +306,7 @@ class OnlineSession:
     @property
     def num_requests(self) -> int:
         """Requests served so far."""
-        return len(self._requests)
+        return self._state.num_requests
 
     @property
     def opening_cost(self) -> float:
@@ -381,7 +380,7 @@ class OnlineSession:
         if self._record is not None:
             raise AlgorithmError("cannot submit to a finalized session")
         request = Request(
-            index=len(self._requests),
+            index=self._state.num_requests,
             point=int(point),
             commodities=frozenset(int(e) for e in commodities),
         )
@@ -446,7 +445,6 @@ class OnlineSession:
                 f"{self._algorithm.name} finished processing request {request.index} "
                 "without recording an assignment"
             ) from error
-        self._requests.append(request)
 
         opening_after = self._state.current_opening_cost()
         connection_after = self._state.current_connection_cost()
@@ -531,7 +529,7 @@ class OnlineSession:
             validate=self._validate,
             instance_name=self._instance.name,
             runtime_seconds=self._runtime,
-            num_requests=len(self._requests),
+            num_requests=self._state.num_requests,
             spec=copy.deepcopy(spec) if spec is not None else None,
             scenario_state=copy.deepcopy(scenario_state)
             if scenario_state is not None
@@ -622,18 +620,10 @@ class OnlineSession:
         )
         session._state.load_state_dict(snapshot.state)
         session._algorithm.load_state_dict(snapshot.algorithm_state)
-        session._requests = [
-            Request(
-                index=index,
-                point=int(point),
-                commodities=frozenset(int(e) for e in commodity_list),
-            )
-            for index, (point, commodity_list) in enumerate(snapshot.state["requests"])
-        ]
-        if len(session._requests) != snapshot.num_requests:
+        if session._state.num_requests != snapshot.num_requests:
             raise SnapshotError(
                 f"snapshot claims {snapshot.num_requests} requests but carries "
-                f"{len(session._requests)}"
+                f"{session._state.num_requests}"
             )
         session._rng = rng_from_state(snapshot.rng_state)
         session._seed = snapshot.seed
@@ -653,33 +643,33 @@ class OnlineSession:
     def finalize(self) -> RunRecord:
         """Freeze the session into a :class:`RunRecord` (idempotent).
 
-        The final costs are recomputed from the frozen solution exactly as the
-        batch runner does, so a streamed run and a batch run over the same
-        sequence and seed report bit-identical totals.
+        The costs are the :class:`OnlineState` ledger's running totals, each
+        fixed when its irrevocable assignment was recorded; no connection
+        distance is recomputed.  They equal :meth:`Solution.cost_breakdown`
+        bit for bit, so streamed and batch runs over the same sequence and
+        seed report identical totals.  ``validate`` still checks the frozen
+        solution's feasibility against every served request.
         """
         if self._record is not None:
             return self._record
         finalize_start = wall_now()
         self._flush_telemetry()
-        requests = RequestSequence(self._requests)
+        num_requests = self._state.num_requests
         solution = self._state.to_solution()
         if self._validate:
-            solution.validate(requests)
-        breakdown = solution.cost_breakdown(requests)
+            solution.validate(RequestSequence(self._state.processed_requests))
         result = OnlineResult(
             algorithm=self._algorithm.name,
             instance_name=self._instance.name,
             solution=solution,
-            opening_cost=breakdown.opening,
-            connection_cost=breakdown.connection,
-            breakdown=breakdown,
+            breakdown=self._state.cost_breakdown(),
             runtime_seconds=self._runtime,
             trace=self._state.trace,
             duals=self._algorithm.duals(),
         )
         self._record = RunRecord.from_online_result(
             result,
-            num_requests=len(requests),
+            num_requests=num_requests,
             seed=self._seed,
             rng_state=copy.deepcopy(self._initial_rng_state),
         )
@@ -687,11 +677,11 @@ class OnlineSession:
             self._tracer.add(
                 "session.finalize",
                 category="session",
-                ordinal=len(requests),
+                ordinal=num_requests,
                 seconds=wall_now() - finalize_start,
                 wall_start=finalize_start,
                 attributes={
-                    "num_requests": len(requests),
+                    "num_requests": num_requests,
                     "validated": bool(self._validate),
                 },
             )
@@ -700,5 +690,5 @@ class OnlineSession:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"OnlineSession(algorithm={self._algorithm.name!r}, "
-            f"n={len(self._requests)}, total_cost={self.total_cost:.4f})"
+            f"n={self._state.num_requests}, total_cost={self.total_cost:.4f})"
         )

@@ -90,12 +90,11 @@ class FacilityStore:
         self._facilities: List[Facility] = []
         self._by_commodity: Dict[int, List[int]] = {}
         self._large: List[int] = []
-        # Small and large opening costs are summed separately, in opening
-        # order, exactly as Solution.cost_breakdown sums them, so the running
-        # total equals the finalized record's opening cost bit for bit.
+        # Small and large opening costs are summed separately in opening
+        # order, the order Solution.cost_breakdown sums them in, so
+        # OnlineState.cost_breakdown reports them bit-identically.
         self._opening_small = 0.0
         self._opening_large = 0.0
-        self._total_opening_cost = 0.0
         self._full_set = cost_function.full_set
         self._use_accel = bool(use_accel)
         self._trackers: Dict[int, NearestSetTracker] = {}
@@ -125,7 +124,6 @@ class FacilityStore:
             self._opening_large += cost
         else:
             self._opening_small += cost
-        self._total_opening_cost = self._opening_small + self._opening_large
         if self._use_accel:
             for commodity in config:
                 tracker = self._trackers.get(commodity)
@@ -194,7 +192,17 @@ class FacilityStore:
     @property
     def total_opening_cost(self) -> float:
         """Sum of opening costs of all facilities opened so far."""
-        return self._total_opening_cost
+        return self._opening_small + self._opening_large
+
+    @property
+    def opening_small(self) -> float:
+        """Opening cost of the facilities not offering all of ``S``."""
+        return self._opening_small
+
+    @property
+    def opening_large(self) -> float:
+        """Opening cost of the large facilities (offering all of ``S``)."""
+        return self._opening_large
 
     def facilities_offering(self, commodity: int) -> List[Facility]:
         """``F(e)`` — currently open facilities offering ``commodity``."""

@@ -4,7 +4,8 @@
 the event trace of one online run.  Algorithms interact with it through a
 small set of verbs — ``open_facility``, ``assign``, distance queries — and the
 runner converts the final state into an immutable
-:class:`~repro.core.solution.Solution`.
+:class:`~repro.core.solution.Solution`.  It is also the run's only ledger of
+served requests and running cost totals (:meth:`OnlineState.cost_breakdown`).
 
 Keeping this state in one place guarantees that every algorithm is charged
 costs in exactly the same way (the cost model lives here, not in each
@@ -19,7 +20,7 @@ from repro.core.assignment import Assignment
 from repro.core.facility import Facility, FacilityStore
 from repro.core.instance import Instance
 from repro.core.requests import Request
-from repro.core.solution import Solution
+from repro.core.solution import CostBreakdown, Solution
 from repro.core.trace import FacilityOpenedEvent, RequestAssignedEvent, Trace
 from repro.exceptions import AlgorithmError, SnapshotError
 
@@ -71,6 +72,11 @@ class OnlineState:
     def processed_requests(self) -> List[Request]:
         """Requests processed so far, in arrival order (the paper's current ``R``)."""
         return list(self._processed_requests)
+
+    @property
+    def num_requests(self) -> int:
+        """Number of requests processed so far (O(1), no copy of the log)."""
+        return len(self._processed_requests)
 
     def assignment_of(self, request_index: int) -> Assignment:
         return self._assignments[request_index]
@@ -156,6 +162,15 @@ class OnlineState:
 
     def current_total_cost(self) -> float:
         return self.current_opening_cost() + self.current_connection_cost()
+
+    def cost_breakdown(self) -> CostBreakdown:
+        """The running totals, in O(1); summed in the same orders as
+        :meth:`Solution.cost_breakdown`, so bit-identical to it."""
+        return CostBreakdown(
+            opening_small=self._store.opening_small,
+            opening_large=self._store.opening_large,
+            connection=self._connection_cost,
+        )
 
     # ------------------------------------------------------------------
     # Snapshot support

@@ -37,6 +37,7 @@ from repro.utils.rng import RandomState, ensure_rng, spawn_child_seeds
 __all__ = [
     "ScenarioSession",
     "derive_session_seeds",
+    "restore_session_and_stream",
     "run_spec_streamed",
     "scenario_session_components",
     "step_stream",
@@ -138,6 +139,46 @@ def scenario_session_components(
         name=run_spec.name or env.name,
     )
     return run_spec.build_algorithm(), instance, ensure_rng(algorithm_seed), stream
+
+
+def restore_session_and_stream(
+    snapshot: Union["SessionSnapshot", Mapping[str, Any], str]
+) -> Tuple[RunSpec, OnlineSession, ScenarioStream]:
+    """``(spec, session, stream)`` resumed from a scenario session snapshot.
+
+    The one restore path of scenario-backed sessions (:class:`ScenarioSession`
+    and the service's disk reload); rejects a stream position that disagrees
+    with the session's served requests.
+    """
+    from repro.service.snapshot import SessionSnapshot
+
+    snapshot = SessionSnapshot.coerce(snapshot)
+    if snapshot.spec is None or snapshot.spec.get("scenario") is None:
+        raise ScenarioError(
+            "snapshot carries no scenario spec; only ScenarioSession "
+            "snapshots restore into a ScenarioSession"
+        )
+    if snapshot.scenario_state is None:
+        raise ScenarioError(
+            "snapshot carries no scenario stream state; it was not taken "
+            "through ScenarioSession.snapshot()"
+        )
+    spec = RunSpec.from_dict(dict(snapshot.spec))
+    if spec.seed is None:
+        raise ScenarioError(
+            "snapshot spec carries no seed; the scenario environment "
+            "cannot be rebuilt deterministically"
+        )
+    # One environment build serves both the session and the resumed stream.
+    algorithm, instance, _generator, stream = scenario_session_components(spec)
+    session = OnlineSession.restore(snapshot, algorithm=algorithm, instance=instance)
+    stream.load_state_dict(snapshot.scenario_state)
+    if stream.position != session.num_requests:
+        raise ScenarioError(
+            f"snapshot is inconsistent: stream position {stream.position} "
+            f"vs {session.num_requests} session requests"
+        )
+    return spec, session, stream
 
 
 class ScenarioSession:
@@ -249,7 +290,7 @@ class ScenarioSession:
 
     def advance(self, count: Optional[int] = None) -> List[AssignmentEvent]:
         """Stream up to ``count`` requests (all remaining when ``None``)
-        and return their events.
+        and return their events.  Unbounded scenarios need a ``count``.
 
         When tracing is on, each call records one ``session.advance`` chunk
         span (ordinal = call sequence) parenting the chunk's detail spans —
@@ -258,6 +299,11 @@ class ScenarioSession:
         """
         if count is not None and count < 0:
             raise ScenarioError(f"advance() count must be non-negative, got {count}")
+        if count is None and self._stream.length is None:
+            raise ScenarioError(
+                f"scenario {self.scenario.kind!r} is unbounded; advance() needs "
+                "a count"
+            )
         tracer = self._tracer
         chunk_span = None
         if tracer is not None:
@@ -329,37 +375,7 @@ class ScenarioSession:
         cls, snapshot: Union["SessionSnapshot", Mapping[str, Any], str]
     ) -> "ScenarioSession":
         """Resume a :meth:`snapshot` bit-identically (fresh-process safe)."""
-        from repro.service.snapshot import SessionSnapshot
-
-        snapshot = SessionSnapshot.coerce(snapshot)
-        if snapshot.spec is None or snapshot.spec.get("scenario") is None:
-            raise ScenarioError(
-                "snapshot carries no scenario spec; only ScenarioSession "
-                "snapshots restore into a ScenarioSession"
-            )
-        if snapshot.scenario_state is None:
-            raise ScenarioError(
-                "snapshot carries no scenario stream state; it was not taken "
-                "through ScenarioSession.snapshot()"
-            )
-        spec = RunSpec.from_dict(dict(snapshot.spec))
-        if spec.seed is None:
-            raise ScenarioError(
-                "snapshot spec carries no seed; the scenario environment "
-                "cannot be rebuilt deterministically"
-            )
-        # One environment build serves both sides: the session restore (via
-        # the explicit algorithm/instance path) and the resumed stream.
-        algorithm, instance, _generator, stream = scenario_session_components(spec)
-        session = OnlineSession.restore(
-            snapshot, algorithm=algorithm, instance=instance
-        )
-        stream.load_state_dict(snapshot.scenario_state)
-        if stream.position != session.num_requests:
-            raise ScenarioError(
-                f"snapshot is inconsistent: stream position {stream.position} "
-                f"vs {session.num_requests} session requests"
-            )
+        spec, session, stream = restore_session_and_stream(snapshot)
         restored = cls.__new__(cls)
         restored._spec = spec
         restored._stream = stream

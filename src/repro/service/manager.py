@@ -257,23 +257,11 @@ class SessionManager:
                     )
                 stream = None
                 if snapshot.spec.get("scenario") is not None:
-                    # Scenario-backed: one environment build serves both the
-                    # session restore and the resumed stream, whose exact
-                    # generator position comes from the snapshot.
-                    from repro.scenarios.run import scenario_session_components
+                    # Scenario-backed: the shared restore resumes session and
+                    # stream together and checks they agree.
+                    from repro.scenarios.run import restore_session_and_stream
 
-                    if snapshot.scenario_state is None:
-                        raise ServiceError(
-                            f"snapshot for scenario session {name!r} carries no "
-                            "scenario stream state; cannot resume its generator"
-                        )
-                    algorithm, instance, _generator, stream = (
-                        scenario_session_components(snapshot.spec)
-                    )
-                    session = OnlineSession.restore(
-                        snapshot, algorithm=algorithm, instance=instance
-                    )
-                    stream.load_state_dict(snapshot.scenario_state)
+                    _spec, session, stream = restore_session_and_stream(snapshot)
                 else:
                     session = OnlineSession.restore(snapshot)
             finally:

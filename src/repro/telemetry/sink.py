@@ -107,22 +107,16 @@ class TelemetrySink:
             probe.bind(metric, cost)
         self._bound = True
 
-    def record(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        """Fan one served request out to every probe."""
-        for probe in self._probes:
-            probe.observe(event, elapsed_seconds)
-
     def record_batch(
         self, items: Iterable[Tuple[AssignmentEvent, float]]
     ) -> None:
         """Fan a short run of served requests out to every probe.
 
-        Equivalent to :meth:`record` per item (each probe sees every event
-        exactly once, in arrival order), but iterated probe-major: each
-        probe's accumulators stay hot in cache for the whole batch and its
-        ``observe`` is resolved once instead of per event.  Probes are
-        independent by contract, so the cross-probe interleaving is not
-        observable.
+        Each probe sees every event exactly once, in arrival order.  The
+        loop is probe-major: each probe's accumulators stay hot in cache for
+        the whole batch and its ``observe`` is resolved once instead of per
+        event.  Probes are independent by contract, so the cross-probe
+        interleaving is not observable.
         """
         for probe in self._probes:
             observe = probe.observe

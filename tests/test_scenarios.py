@@ -466,7 +466,7 @@ def test_seedless_scenario_session_refuses_to_snapshot():
 
 
 def test_cli_sample_typo_gets_did_you_mean():
-    from repro.experiments.cli import _load_scenario_argument
+    from repro.cli import _load_scenario_argument
     from repro.exceptions import UnknownComponentError
 
     with pytest.raises(UnknownComponentError, match="zipf"):
@@ -479,6 +479,10 @@ def test_unbounded_session_run_requires_max_requests():
     session = ScenarioSession(spec)
     with pytest.raises(ScenarioError, match="max_requests"):
         session.run()
+    with pytest.raises(ScenarioError, match="unbounded"):
+        session.advance()
+    assert session.position == 0
+    assert len(session.advance(5)) == 5
     record = ScenarioSession(spec).run(max_requests=40)
     assert record.num_requests == 40
 

@@ -131,6 +131,36 @@ def test_manager_scenario_session_evicted_and_reloaded_finalizes_like_its_twin(t
     assert record == expected
 
 
+def test_manager_rejects_inconsistent_scenario_snapshot_on_reload(tmp_path):
+    """A reload whose stream position disagrees with the session fails closed.
+
+    Dropping the last served request from an evicted scenario session's
+    snapshot leaves the stream position one ahead of the session; resuming
+    would serve the wrong arrival, so the reload must refuse and serve
+    nothing.
+    """
+    manager = SessionManager(snapshot_dir=tmp_path)
+    protocol = ServiceProtocol(manager)
+    assert protocol.handle({"op": "create", "name": "z", "spec": _scenario_spec(3)})["ok"]
+    assert protocol.handle({"op": "advance", "name": "z", "count": 10})["served"] == 10
+    path = Path(protocol.handle({"op": "evict", "name": "z"})["path"])
+
+    data = json.loads(path.read_text())
+    data["state"]["requests"].pop()
+    data["state"]["assignments"].pop()
+    data["num_requests"] -= 1
+    path.write_text(json.dumps(data))
+
+    response = protocol.handle({"op": "advance", "name": "z", "count": 1})
+    assert response["ok"] is False
+    assert "inconsistent" in response["error"]
+    assert "events" not in response
+    counters = manager.metrics()["counters"]
+    assert counters["requests"] == 10 and counters["reloads"] == 0
+    status = protocol.handle({"op": "status", "name": "z"})["session"]
+    assert status["live"] is False and status["num_requests"] == 9
+
+
 def test_manager_lru_eviction_under_capacity_pressure(tmp_path):
     manager = SessionManager(snapshot_dir=tmp_path, max_live_sessions=1)
     manager.create("old", _explicit_spec(0))
@@ -425,7 +455,7 @@ def test_cli_serve_in_process(tmp_path, monkeypatch, capsys):
     """The argparse `serve` branch wired to real streams (in-process)."""
     import io
 
-    from repro.experiments.cli import main
+    from repro.cli import main
 
     lines = [
         json.dumps({"op": "create", "name": "s", "spec": _explicit_spec()}),
@@ -464,7 +494,7 @@ def test_repro_serve_end_to_end(tmp_path):
         [
             sys.executable,
             "-m",
-            "repro.experiments.cli",
+            "repro.cli",
             "serve",
             "--snapshot-dir",
             str(state_dir),

@@ -11,7 +11,10 @@ same assignment trace.
 This harness pins that claim for every registered online algorithm over a
 grid of metric/cost scenarios, seeds and both hot paths
 (``use_accel=True``/``False``), mirroring the accel-equivalence harness of
-``tests/test_accel_equivalence.py``.  Equality is asserted with ``==`` on
+``tests/test_accel_equivalence.py``.  It also pins the session's ledger: the
+costs ``finalize`` reads off :class:`~repro.core.state.OnlineState`'s running
+totals equal ``Solution.cost_breakdown`` recomputed from scratch, on the
+uninterrupted run and across the snapshot.  Equality is asserted with ``==`` on
 floats throughout — "close" is not good enough; resume is exact or broken.
 """
 
@@ -30,6 +33,7 @@ from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
 from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
 from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
 from repro.algorithms.online.threshold import ThresholdPDAlgorithm
+from repro.api.components import ALGORITHMS as REGISTERED_ALGORITHMS
 from repro.api.session import OnlineSession
 from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
@@ -92,11 +96,35 @@ def _grid_multi(seed: int) -> Instance:
     return _instance_on(GridMetric.full_grid(5, 5), 4, seed, scaled_costs=True)
 
 
+def _zipf(num_commodities: int) -> Callable[[int], Instance]:
+    return lambda seed: realize(
+        "zipf", seed, num_requests=18, num_commodities=num_commodities
+    ).instance
+
+
+def _service_network(num_services: int) -> Callable[[int], Instance]:
+    return lambda seed: realize(
+        "service-network",
+        seed,
+        num_requests=18,
+        num_services=num_services,
+        num_nodes=20,
+        profile_size=min(num_services, 2),
+    ).instance
+
+
+#: Every algorithm meets four scenario kinds: single-commodity ones the
+#: line/euclidean/zipf/service-network rows, the others the
+#: clustered/grid/zipf/service-network rows.
 SCENARIOS: List[Tuple[str, int, Callable[[int], Instance]]] = [
     ("line-single", 1, _line_single),
     ("euclidean-single", 1, _euclidean_single),
+    ("zipf-single", 1, _zipf(1)),
+    ("service-network-single", 1, _service_network(1)),
     ("clustered-euclidean", 5, _clustered_multi),
     ("grid-l1", 4, _grid_multi),
+    ("zipf-multi", 4, _zipf(4)),
+    ("service-network-multi", 4, _service_network(4)),
 ]
 
 #: name -> (factory taking (num_commodities, use_accel), single_commodity_only)
@@ -206,6 +234,7 @@ def test_resume_is_bit_identical_to_uninterrupted(
     )
     assert resumed.num_requests == SPLIT
     assert resumed.total_cost == partial.total_cost
+    assert resumed.state.cost_breakdown() == _recomputed_breakdown(resumed)
 
     resumed_events = [
         resumed.submit(r.point, r.commodities) for r in instance3.requests[SPLIT:]
@@ -231,6 +260,22 @@ def test_resume_is_bit_identical_to_uninterrupted(
     assert [e.to_dict() for e in resumed_record.trace.events] == [
         e.to_dict() for e in full_record.trace.events
     ]
+
+    # Finalized costs are the state's running totals; they must equal a full
+    # recomputation from the frozen solution, exactly.
+    assert full_record.source.breakdown == _recomputed_breakdown(full)
+    assert resumed_record.source.breakdown == _recomputed_breakdown(resumed)
+
+
+
+def _recomputed_breakdown(session: OnlineSession):
+    """Every cost re-derived from the frozen solution (the reference path)."""
+    state = session.state
+    return state.to_solution().cost_breakdown(RequestSequence(state.processed_requests))
+
+
+def test_harness_covers_every_registered_online_algorithm():
+    assert set(ALGORITHMS) == set(REGISTERED_ALGORITHMS.names())
 
 
 def test_snapshot_restores_from_embedded_spec():
