@@ -34,7 +34,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
@@ -57,12 +56,10 @@ from repro.core.trace import Trace
 from repro.costs.base import FacilityCostFunction
 from repro.exceptions import AlgorithmError, SnapshotError
 from repro.metric.base import MetricSpace
+from repro.telemetry.sink import TelemetrySink
 from repro.trace.clock import wall_now
+from repro.trace.tracer import Tracer
 from repro.utils.rng import RandomState, ensure_rng, rng_from_state, rng_state
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance, types only
-    from repro.telemetry.sink import TelemetrySink
-    from repro.trace.tracer import Tracer
 
 __all__ = ["AssignmentEvent", "OnlineSession"]
 
@@ -140,12 +137,6 @@ class AssignmentEvent:
             opening_cost_so_far=float(data["opening_cost_so_far"]),
             connection_cost_so_far=float(data["connection_cost_so_far"]),
         )
-
-
-#: How many served events accumulate before the session fans them out to the
-#: telemetry sink (see OnlineSession._flush_telemetry).  Small enough that the
-#: batch stays in L1, large enough to amortize the probes' cache refill.
-_TELEMETRY_FLUSH_EVERY = 64
 
 
 class OnlineSession:
@@ -235,14 +226,7 @@ class OnlineSession:
         self._initial_rng_state = rng_state(self._rng)
         self._use_accel = bool(use_accel)
         self._validate = validate
-        if tracer is None or tracer is False:
-            self._tracer = None
-        else:
-            # Imported lazily for the same cycle reason as the telemetry
-            # sink below (the tracer pulls in repro.telemetry's reservoir).
-            from repro.trace.tracer import Tracer
-
-            self._tracer = Tracer.coerce(tracer)
+        self._tracer = Tracer.coerce(tracer)
         if instance is None:
             instance = Instance(
                 metric, cost, RequestSequence([]), commodities=commodities, name=name
@@ -264,21 +248,9 @@ class OnlineSession:
             )
         self._runtime = 0.0
         self._record: Optional[RunRecord] = None
-        # Served events waiting to be fanned out to the telemetry sink; see
-        # _flush_telemetry for why delivery is micro-batched.
-        self._telemetry_pending: list[Tuple["AssignmentEvent", float]] = []
-        if telemetry is None or telemetry is False:
-            self._telemetry = None
-        else:
-            # Imported lazily: repro.telemetry depends on this module (probes
-            # consume AssignmentEvent), so a top-level import would be a cycle.
-            from repro.telemetry.sink import TelemetrySink
-
-            self._telemetry = TelemetrySink.coerce(telemetry)
-            if self._telemetry is not None:
-                self._telemetry.bind(
-                    self._instance.metric, self._instance.cost_function
-                )
+        self._telemetry = TelemetrySink.coerce(telemetry)
+        if self._telemetry is not None:
+            self._telemetry.bind(self._instance.metric, self._instance.cost_function)
         start = wall_now()
         algorithm.prepare(self._instance, self._state, self._rng)
         elapsed = wall_now() - start
@@ -331,13 +303,12 @@ class OnlineSession:
         return self._runtime
 
     @property
-    def telemetry(self) -> Optional["TelemetrySink"]:
+    def telemetry(self) -> Optional[TelemetrySink]:
         """The attached telemetry sink (``None`` when telemetry is disabled)."""
-        self._flush_telemetry()
         return self._telemetry
 
     @property
-    def tracer(self) -> Optional["Tracer"]:
+    def tracer(self) -> Optional[Tracer]:
         """The attached span tracer (``None`` when tracing is disabled)."""
         return self._tracer
 
@@ -345,27 +316,7 @@ class OnlineSession:
         """``{probe kind: summary}`` of the attached sink, ``None`` if disabled."""
         if self._telemetry is None:
             return None
-        self._flush_telemetry()
         return self._telemetry.summary()
-
-    def _flush_telemetry(self) -> None:
-        """Fan the pending events out to every probe, in arrival order.
-
-        Delivery is micro-batched (every ``_TELEMETRY_FLUSH_EVERY`` submits,
-        plus before any read of the sink): between two requests the algorithm
-        churns through enough metric/NumPy state to evict the probes'
-        accumulators from cache, so per-event fan-out pays a cache miss per
-        counter while a short batch pays it once.  Probes still see every
-        event exactly once, in order — only the *when* changes, and every
-        externally observable read point flushes first.
-        """
-        pending = self._telemetry_pending
-        if not pending:
-            return
-        sink = self._telemetry
-        if sink is not None:
-            sink.record_batch(pending)
-        pending.clear()
 
     # ------------------------------------------------------------------
     # Streaming
@@ -461,9 +412,7 @@ class OnlineSession:
         if self._telemetry is not None:
             # Probes reuse the elapsed time measured above — no extra clock
             # reads, no RNG draws, nothing fed back into the algorithm.
-            self._telemetry_pending.append((event, elapsed))
-            if len(self._telemetry_pending) >= _TELEMETRY_FLUSH_EVERY:
-                self._flush_telemetry()
+            self._telemetry.observe(event, elapsed)
         if detail:
             tracer.add(
                 "session.event",
@@ -517,7 +466,6 @@ class OnlineSession:
 
         if self._record is not None:
             raise SnapshotError("cannot snapshot a finalized session")
-        self._flush_telemetry()
         return SessionSnapshot(
             algorithm=self._algorithm.name,
             algorithm_state=self._algorithm.state_dict(),
@@ -630,8 +578,6 @@ class OnlineSession:
         session._initial_rng_state = copy.deepcopy(snapshot.initial_rng_state)
         session._runtime = float(snapshot.runtime_seconds)
         if snapshot.telemetry is not None:
-            from repro.telemetry.sink import TelemetrySink
-
             sink = TelemetrySink.from_state_dict(snapshot.telemetry)
             sink.bind(metric, cost)
             session._telemetry = sink
@@ -653,7 +599,10 @@ class OnlineSession:
         if self._record is not None:
             return self._record
         finalize_start = wall_now()
-        self._flush_telemetry()
+        if self._telemetry is not None:
+            # Callers may hold probe objects directly (not only the sink),
+            # so the final buffered events reach them here.
+            self._telemetry.flush()
         num_requests = self._state.num_requests
         solution = self._state.to_solution()
         if self._validate:

@@ -37,12 +37,10 @@ from repro.analysis.competitive import reference_cost
 from repro.analysis.runner import ExperimentResult
 from repro.costs.general import WeightedConcaveCost
 from repro.costs.heavy import detect_heavy_commodities, heavy_aware_pd
-from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
-from repro.core.requests import Request, RequestSequence
 from repro.engine import ExperimentPlan, ResultStore, engine_task, run_plan
-from repro.metric.factories import random_euclidean_metric
-from repro.utils.rng import RandomState, ensure_rng
+from repro.scenarios import scenario_from_dict
+from repro.utils.rng import RandomState
 
 __all__ = ["run", "build_plan", "EXPERIMENT_ID"]
 
@@ -50,45 +48,32 @@ EXPERIMENT_ID = "heavy-commodities"
 TITLE = "Closing remarks: excluding heavy commodities from the large configuration"
 
 
-def _skewed_instance(
-    num_requests: int,
-    num_commodities: int,
-    num_points: int,
-    heavy_weight: float,
-    seed: int,
-) -> Instance:
-    """Uniform requests under a weighted-concave cost with one heavy commodity."""
-    generator = ensure_rng(seed)
-    metric = random_euclidean_metric(num_points, rng=generator)
-    weights = np.ones(num_commodities)
-    weights[-1] = heavy_weight  # the last commodity is the heavy one
-    cost = WeightedConcaveCost(weights, name=f"skew={heavy_weight:g}")
-    universe = CommodityUniverse(num_commodities)
-    requests: List[Request] = []
-    for index in range(num_requests):
-        point = int(generator.integers(0, num_points))
-        size = int(generator.integers(1, min(num_commodities, 4) + 1))
-        demand = universe.sample_subset(size, rng=generator)
-        requests.append(Request(index=index, point=point, commodities=demand))
-    return Instance(
-        metric,
-        cost,
-        RequestSequence(requests),
-        commodities=universe,
-        name=f"heavy(w={heavy_weight:g},n={num_requests})",
-    )
-
-
 @engine_task("heavy-commodities/workload")
 def skewed_workload_case(case: Dict[str, Any], rng: np.random.Generator) -> List[Dict[str, Any]]:
-    """All three algorithm variants on one skewed workload, shared reference."""
+    """All three algorithm variants on one skewed workload, shared reference.
+
+    The requests are a realized ``uniform`` scenario; its power cost is
+    swapped for a weighted-concave cost whose last commodity is the heavy one.
+    """
     skew = float(case["heavy_weight"])
-    instance = _skewed_instance(
-        case["num_requests"],
-        case["num_commodities"],
-        case["num_points"],
-        skew,
-        case["seed"],
+    num_commodities = case["num_commodities"]
+    uniform = scenario_from_dict(
+        {
+            "kind": "uniform",
+            "num_requests": case["num_requests"],
+            "num_commodities": num_commodities,
+            "num_points": case["num_points"],
+            "max_demand": min(num_commodities, 4),
+        }
+    ).realize(case["seed"]).instance
+    weights = np.ones(num_commodities)
+    weights[-1] = skew
+    instance = Instance(
+        uniform.metric,
+        WeightedConcaveCost(weights, name=f"skew={skew:g}"),
+        uniform.requests,
+        commodities=uniform.commodities,
+        name=f"heavy(w={skew:g},n={case['num_requests']})",
     )
     points = list(range(instance.num_points))
     heavy = detect_heavy_commodities(instance.cost_function, points[:4])

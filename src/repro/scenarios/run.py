@@ -233,8 +233,6 @@ class ScenarioSession:
         # Seed provenance mirrors the SessionManager convention: the root
         # spec seed (not the derived child) is what reproduces the run.
         self._session._seed = run_spec.seed
-        # The session owns coercion (True → fresh Tracer); share the result.
-        self._tracer = self._session.tracer
         self._advance_ordinal = 0
 
     # ------------------------------------------------------------------
@@ -275,7 +273,7 @@ class ScenarioSession:
     @property
     def tracer(self):
         """The shared span tracer (``None`` when tracing is disabled)."""
-        return self._tracer
+        return self._session.tracer
 
     # ------------------------------------------------------------------
     # Streaming
@@ -286,7 +284,7 @@ class ScenarioSession:
         The event is fed back to the stream's ``observe`` hook before
         returning, so the next draw already sees the algorithm's reaction.
         """
-        return step_stream(self._stream, self._session, tracer=self._tracer)
+        return step_stream(self._stream, self._session, tracer=self._session.tracer)
 
     def advance(self, count: Optional[int] = None) -> List[AssignmentEvent]:
         """Stream up to ``count`` requests (all remaining when ``None``)
@@ -304,7 +302,7 @@ class ScenarioSession:
                 f"scenario {self.scenario.kind!r} is unbounded; advance() needs "
                 "a count"
             )
-        tracer = self._tracer
+        tracer = self._session.tracer
         chunk_span = None
         if tracer is not None:
             chunk_span = tracer.begin(
@@ -379,11 +377,9 @@ class ScenarioSession:
         restored = cls.__new__(cls)
         restored._spec = spec
         restored._stream = stream
+        # Tracing is profiling-only and deliberately not part of snapshots:
+        # the restored session, and so this wrapper, starts untraced.
         restored._session = session
-        # Tracing is profiling-only and deliberately not part of snapshots;
-        # a restored session starts untraced (attach a fresh tracer if
-        # profiling the resumed run).
-        restored._tracer = None
         restored._advance_ordinal = 0
         return restored
 

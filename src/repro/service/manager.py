@@ -28,6 +28,7 @@ from repro.api.spec import RunSpec
 from repro.exceptions import ServiceError
 from repro.service.snapshot import SessionSnapshot, components_from_spec
 from repro.trace.clock import wall_now
+from repro.trace.tracer import Tracer
 
 __all__ = ["SessionManager"]
 
@@ -102,19 +103,14 @@ class SessionManager:
             "reloads": 0,
             "finalized": 0,
         }
-        if tracer is None or tracer is False:
-            self._tracer = None
-        else:
-            from repro.trace.tracer import Tracer
-
-            self._tracer = Tracer.coerce(tracer)
+        self._tracer = Tracer.coerce(tracer)
         self._started = wall_now()
 
     # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------
     @property
-    def tracer(self):
+    def tracer(self) -> Optional[Tracer]:
         """The attached span tracer (``None`` when tracing is disabled)."""
         return self._tracer
 
@@ -124,11 +120,9 @@ class SessionManager:
         Used by :class:`~repro.service.protocol.ServiceProtocol` so its
         wire-op tracer also records the manager's reload/evict I/O spans.
         """
-        if tracer is None or tracer is False:
-            return
-        from repro.trace.tracer import Tracer
-
-        self._tracer = Tracer.coerce(tracer)
+        tracer = Tracer.coerce(tracer)
+        if tracer is not None:
+            self._tracer = tracer
 
     # ------------------------------------------------------------------
     # Name / path helpers

@@ -8,22 +8,28 @@ agnostic: :class:`ServiceProtocol` maps message dicts to response dicts,
 :func:`serve` pumps it over a line-based stream pair (stdin/stdout in the
 CLI; any file-like pair in tests).
 
+Fields are type-checked, never coerced: a mistyped field (``"validate":
+"false"``, ``"point": 2.7``, ``"commodities": "01"``) is a ``ServiceError``
+naming it.
+
 Operations
 ----------
 ``ping``
     Liveness check; echoes the known session count.
 ``create``
     ``{"op": "create", "name": ..., "spec": {...RunSpec dict...}}`` — create a
-    named session (optional ``use_accel``/``trace``/``validate`` flags).  An
-    optional ``telemetry`` field opts the session into streaming metrics:
-    ``true`` for the stock probe catalog, or a list of probe names / spec
-    dicts (see :mod:`repro.telemetry`); subsequent ``status`` responses then
-    carry the per-probe summaries.
+    named session (optional JSON-boolean ``use_accel``/``trace``/``validate``
+    flags; ``use_accel`` may be ``null``).  An optional ``telemetry`` field
+    opts the session into streaming metrics: ``true`` for the stock probe
+    catalog, or a list of probe names / spec dicts (see
+    :mod:`repro.telemetry`); subsequent ``status`` responses then carry the
+    per-probe summaries.
 ``submit``
     ``{"op": "submit", "name": ..., "point": p, "commodities": [..]}`` —
-    route one request; responds with the
-    :meth:`~repro.api.session.AssignmentEvent.to_dict` event.  Rejected for
-    scenario-backed sessions (their arrival order belongs to the scenario).
+    route one request (an integer point, a list of integer commodities);
+    responds with the :meth:`~repro.api.session.AssignmentEvent.to_dict`
+    event.  Rejected for scenario-backed sessions (their arrival order
+    belongs to the scenario).
 ``advance``
     ``{"op": "advance", "name": ..., "count": n}`` — stream the next ``n``
     requests of a scenario-backed session (created from a spec with a
@@ -61,17 +67,33 @@ Operations
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, IO, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, IO, Mapping, Optional, Union
 
 from repro.exceptions import ReproError, ServiceError
 from repro.service.manager import SessionManager
+from repro.trace.export import write_json
+from repro.trace.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from pathlib import Path
 
-    from repro.trace.tracer import Tracer
-
 __all__ = ["ServiceProtocol", "serve"]
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value: Any) -> bool:
+    return isinstance(value, list) and all(_is_int(item) for item in value)
+
+
+def _is_bool(value: Any) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_optional_bool(value: Any) -> bool:
+    return value is None or isinstance(value, bool)
 
 
 class ServiceProtocol:
@@ -91,20 +113,16 @@ class ServiceProtocol:
 
     def __init__(self, manager: SessionManager, tracer: Any = None) -> None:
         self._manager = manager
-        if tracer is False:
-            self._tracer: Optional["Tracer"] = None
-        else:
-            from repro.trace.tracer import Tracer
-
-            self._tracer = manager.tracer if tracer is None else Tracer.coerce(tracer)
-            if self._tracer is None:
-                self._tracer = Tracer()
-            if manager.tracer is None:
-                manager.attach_tracer(self._tracer)
+        if tracer is None:
+            # On by default: share the manager's tracer, or start one.
+            tracer = True if manager.tracer is None else manager.tracer
+        self._tracer = Tracer.coerce(tracer)
+        if manager.tracer is None:
+            manager.attach_tracer(self._tracer)
         self._op_sequence = 0
 
     @property
-    def tracer(self) -> Optional["Tracer"]:
+    def tracer(self) -> Optional[Tracer]:
         """The protocol's span tracer (``None`` when disabled)."""
         return self._tracer
 
@@ -165,6 +183,24 @@ class ServiceProtocol:
             raise ReproError(f"op {message.get('op')!r} needs a {key!r} field")
         return message[key]
 
+    @staticmethod
+    def _typed(
+        message: Mapping[str, Any],
+        key: str,
+        valid: Callable[[Any], bool],
+        expected: str,
+        default: Any = None,
+    ) -> Any:
+        """``message[key]`` (``default`` when absent), or a :class:`ServiceError`
+        naming the field unless ``valid`` accepts it.  Wire input is never
+        coerced: ``bool("false")`` is true and ``int(2.7)`` is 2."""
+        value = message.get(key, default)
+        if not valid(value):
+            raise ServiceError(
+                f"{message.get('op')} field {key!r} must be {expected}, got {value!r}"
+            )
+        return value
+
     def _op_ping(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         return {"ok": True, "pong": True, "sessions": len(self._manager)}
 
@@ -174,25 +210,32 @@ class ServiceProtocol:
         status = self._manager.create(
             name,
             spec,
-            use_accel=message.get("use_accel"),
-            trace=bool(message.get("trace", False)),
-            validate=bool(message.get("validate", True)),
-            telemetry=message.get("telemetry"),
+            use_accel=self._typed(message, "use_accel", _is_optional_bool, "a boolean or null"),
+            trace=self._typed(message, "trace", _is_bool, "a boolean", False),
+            validate=self._typed(message, "validate", _is_bool, "a boolean", True),
+            telemetry=self._typed(
+                message,
+                "telemetry",
+                lambda value: value is None or isinstance(value, (bool, list)),
+                "a boolean, null or a list of probes",
+            ),
         )
         return {"ok": True, "session": status}
 
     def _op_submit(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         name = self._required(message, "name")
-        point = self._required(message, "point")
-        commodities = self._required(message, "commodities")
+        self._required(message, "point")
+        self._required(message, "commodities")
+        point = self._typed(message, "point", _is_int, "an integer")
+        commodities = self._typed(message, "commodities", _is_int_list, "a list of integers")
         event = self._manager.submit(name, point, commodities)
         return {"ok": True, "name": name, "event": event.to_dict()}
 
     def _op_advance(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         name = self._required(message, "name")
-        count = message.get("count")
-        if count is not None and (isinstance(count, bool) or not isinstance(count, int)):
-            raise ServiceError(f"advance field 'count' must be an integer, got {count!r}")
+        count = self._typed(
+            message, "count", lambda value: value is None or _is_int(value), "an integer"
+        )
         events, exhausted = self._manager.advance(name, count)
         return {
             "ok": True,
@@ -279,6 +322,4 @@ def serve(
         if response.get("shutdown"):
             break
     if trace_out is not None and protocol.tracer is not None:
-        from repro.trace.export import write_json
-
         write_json(str(trace_out), protocol.tracer.to_payload())

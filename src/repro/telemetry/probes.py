@@ -24,15 +24,17 @@ Contracts every probe honours (pinned by ``tests/test_telemetry.py``):
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 from repro.analysis.competitive import IncrementalOfflineBound
 from repro.api.registry import Registry
-from repro.api.session import AssignmentEvent
 from repro.costs.base import FacilityCostFunction
 from repro.exceptions import TelemetryError
 from repro.metric.base import MetricSpace
-from repro.telemetry.reservoir import ReservoirSampler
+from repro.trace.reservoir import LatencyStats, ReservoirSampler
+
+if TYPE_CHECKING:  # pragma: no cover - the session imports this package
+    from repro.api.session import AssignmentEvent
 
 __all__ = [
     "METRICS_PROBES",
@@ -270,12 +272,12 @@ class OpeningRateProbe(MetricsProbe):
 class LatencyReservoirProbe(MetricsProbe):
     """Per-request latency percentiles from a fixed-size reservoir sample.
 
-    The sampling core is the shared
-    :class:`~repro.telemetry.reservoir.ReservoirSampler` (Li's "Algorithm L"
-    with geometric skips) over the per-request wall-clock times the session
-    already measures — the same sampler the span tracer uses for its
-    per-phase percentiles, so every latency distribution in the repo is
-    estimated the same way.  Its draws come from a **private** generator
+    The aggregate is the shared :class:`~repro.trace.reservoir.LatencyStats`
+    (running total/max plus a reservoir sample via Li's "Algorithm L" with
+    geometric skips) over the per-request wall-clock times the session
+    already measures — the same aggregate the span tracer folds its
+    per-phase latencies through, so every latency distribution in the repo
+    is estimated the same way.  Its draws come from a **private** generator
     seeded by the probe's own ``seed`` parameter — never from the session's
     generator — so enabling the probe draws nothing from the algorithm's RNG
     stream (the zero-cost contract).
@@ -286,41 +288,40 @@ class LatencyReservoirProbe(MetricsProbe):
     def __init__(self, capacity: int = 512, seed: int = 0) -> None:
         self._capacity = int(capacity)
         self._seed = int(seed)
-        self._sampler = ReservoirSampler(capacity=self._capacity, seed=self._seed)
-        self._total_seconds = 0.0
-        self._max_seconds = 0.0
+        self._stats = LatencyStats(
+            ReservoirSampler(capacity=self._capacity, seed=self._seed)
+        )
 
     def params(self) -> Dict[str, Any]:
         return {"capacity": self._capacity, "seed": self._seed}
 
     def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        self._total_seconds += elapsed_seconds
-        if elapsed_seconds > self._max_seconds:
-            self._max_seconds = elapsed_seconds
-        self._sampler.add(elapsed_seconds)
+        self._stats.fold(elapsed_seconds)
 
     def summary(self) -> Dict[str, Any]:
-        count = self._sampler.count
+        stats = self._stats
+        count = stats.count
+        total = stats.total_seconds
         return {
             "num_requests": count,
-            "total_seconds": self._total_seconds,
-            "mean_seconds": (self._total_seconds / count) if count else None,
-            "max_seconds": self._max_seconds if count else None,
-            "requests_per_second": (
-                count / self._total_seconds if self._total_seconds > 0 else None
-            ),
-            "reservoir_size": len(self._sampler),
-            **self._sampler.percentiles((50.0, 90.0, 99.0)),
+            "total_seconds": total,
+            "mean_seconds": (total / count) if count else None,
+            "max_seconds": stats.max_seconds if count else None,
+            "requests_per_second": count / total if total > 0 else None,
+            "reservoir_size": len(stats.sampler),
+            **stats.sampler.percentiles((50.0, 90.0, 99.0)),
         }
 
     def _state(self) -> Dict[str, Any]:
         # Flattened sampler state: the layout predates the shared sampler
         # class, and keeping it lets version-1 snapshots load unchanged.
-        sampler = self._sampler.state_dict()
+        # The minimum is not part of it (this probe never reports one).
+        stats = self._stats
+        sampler = stats.sampler.state_dict()
         return {
             "count": sampler["count"],
-            "total_seconds": self._total_seconds,
-            "max_seconds": self._max_seconds,
+            "total_seconds": stats.total_seconds,
+            "max_seconds": stats.max_seconds,
             "reservoir": sampler["reservoir"],
             "w": sampler["w"],
             "next_replacement": sampler["next_replacement"],
@@ -328,9 +329,10 @@ class LatencyReservoirProbe(MetricsProbe):
         }
 
     def _load_state(self, state: Mapping[str, Any]) -> None:
-        self._total_seconds = float(state["total_seconds"])
-        self._max_seconds = float(state["max_seconds"])
-        self._sampler.load_state_dict(
+        stats = self._stats
+        stats.total_seconds = float(state["total_seconds"])
+        stats.max_seconds = float(state["max_seconds"])
+        stats.sampler.load_state_dict(
             {
                 "count": state["count"],
                 "reservoir": state["reservoir"],

@@ -35,6 +35,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.analysis.tables import format_markdown_table
 from repro.engine.store import ResultStore
 from repro.exceptions import ReproError, TelemetryError
+from repro.trace.export import summarize_trace
+from repro.trace.tracer import validate_payload
 
 __all__ = [
     "compare_baseline",
@@ -118,14 +120,10 @@ def _group_entries(entries: Sequence[Mapping[str, Any]]) -> Dict[str, List[Dict[
 def load_trace_profile(path: Union[str, Path], *, top: int = 10) -> Dict[str, Any]:
     """A ``repro trace record`` payload summarized for the Profile section.
 
-    Imported lazily from :mod:`repro.trace` so reports without ``--trace``
-    never touch the tracing stack.  The summary carries wall-clock numbers
-    by design — the Profile section is the one deliberately volatile part of
-    a report, which is why it only renders when a trace is passed in.
+    The summary carries wall-clock numbers by design — the Profile section is
+    the one deliberately volatile part of a report, which is why it only
+    renders when a trace is passed in.
     """
-    from repro.trace.export import summarize_trace
-    from repro.trace.tracer import validate_payload
-
     try:
         data = json.loads(Path(path).read_text())
         payload = validate_payload(data)

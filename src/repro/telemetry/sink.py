@@ -3,22 +3,24 @@
 :class:`TelemetrySink` is the object a session's ``telemetry=`` hook accepts.
 It coerces a declarative probe list (names, spec dicts or live probe
 instances) into built probes, binds them to the session's fixed environment,
-fans every served event out to them, and round-trips the whole ensemble
-through a strict-JSON state dict so snapshots carry telemetry bit-identically
-(the probe *specs* are embedded alongside the state, making the sink
-self-describing: :meth:`TelemetrySink.from_state_dict` rebuilds it without
-re-supplying the configuration).
+fans every served event out to them in short batches, and round-trips the
+whole ensemble through a strict-JSON state dict so snapshots carry telemetry
+bit-identically (the probe *specs* are embedded alongside the state, making
+the sink self-describing: :meth:`TelemetrySink.from_state_dict` rebuilds it
+without re-supplying the configuration).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.api.session import AssignmentEvent
 from repro.costs.base import FacilityCostFunction
 from repro.exceptions import TelemetryError
 from repro.metric.base import MetricSpace
 from repro.telemetry.probes import METRICS_PROBES, MetricsProbe
+
+if TYPE_CHECKING:  # pragma: no cover - the session imports this module
+    from repro.api.session import AssignmentEvent
 
 __all__ = ["TelemetrySink", "DEFAULT_PROBES"]
 
@@ -28,6 +30,11 @@ DEFAULT_PROBES = ("cost-decomposition", "opening-rate", "latency", "competitive-
 #: Format marker embedded in every sink state dict.
 SINK_STATE_FORMAT = "repro.telemetry.sink"
 SINK_STATE_VERSION = 1
+
+#: How many observed events the sink buffers before fanning them out to its
+#: probes (see :meth:`TelemetrySink.observe`).  Small enough that the batch
+#: stays in L1, large enough to amortize the probes' cache refill.
+_FLUSH_EVERY = 64
 
 ProbeLike = Union[str, Mapping[str, Any], MetricsProbe]
 
@@ -75,10 +82,14 @@ class TelemetrySink:
                 )
             seen[probe.kind] = True
         self._bound = False
+        # Observed events not yet delivered to the probes; see observe().
+        self._pending: List[Tuple[AssignmentEvent, float]] = []
 
     # ------------------------------------------------------------------
     @property
     def probes(self) -> List[MetricsProbe]:
+        """The probes, each up to date with every observed event."""
+        self.flush()
         return list(self._probes)
 
     @property
@@ -107,6 +118,28 @@ class TelemetrySink:
             probe.bind(metric, cost)
         self._bound = True
 
+    def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
+        """Take one served request (and the time the session measured for it).
+
+        Delivery is micro-batched: every ``_FLUSH_EVERY`` events go out
+        through :meth:`record_batch`.  Between two requests the algorithm
+        churns through enough metric/NumPy state to evict the probes'
+        accumulators from cache, so per-event fan-out pays a cache miss per
+        counter while a short batch pays it once.  Probes still see every
+        event exactly once, in order; every read of the sink (``probes``,
+        :meth:`summary`, :meth:`state_dict`) flushes first.
+        """
+        pending = self._pending
+        pending.append((event, elapsed_seconds))
+        if len(pending) >= _FLUSH_EVERY:
+            self.flush()
+
+    def flush(self) -> None:
+        """Deliver the buffered events to every probe (no-op when empty)."""
+        if self._pending:
+            self.record_batch(self._pending)
+            self._pending.clear()
+
     def record_batch(
         self, items: Iterable[Tuple[AssignmentEvent, float]]
     ) -> None:
@@ -125,12 +158,14 @@ class TelemetrySink:
 
     def summary(self) -> Dict[str, Any]:
         """``{probe kind: probe summary}`` in probe order (strict JSON)."""
+        self.flush()
         return {probe.kind: probe.summary() for probe in self._probes}
 
     # ------------------------------------------------------------------
     # Strict-JSON durability
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
+        self.flush()
         return {
             "format": SINK_STATE_FORMAT,
             "version": SINK_STATE_VERSION,

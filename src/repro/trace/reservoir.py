@@ -1,12 +1,17 @@
-"""Uniform reservoir sampling with geometric skips (Li's "Algorithm L").
+"""Latency aggregation: uniform reservoir sampling plus running aggregates.
 
-One shared implementation of the fixed-size uniform sample used everywhere a
-percentile over an unbounded stream is reported: the
+One shared implementation of every latency distribution reported over an
+unbounded stream.  :class:`ReservoirSampler` is the fixed-size uniform sample
+(Li's "Algorithm L" with geometric skips) behind the percentiles, and
+:class:`LatencyStats` folds each observation into count/total/min/max plus a
+sampler.  The per-phase aggregates of :class:`~repro.trace.tracer.Tracer`
+(``repro trace summarize`` and the service ``metrics`` op) and the
 :class:`~repro.telemetry.probes.LatencyReservoirProbe` (per-request latency
-percentiles on sessions) and the per-phase latency aggregates of
-:class:`~repro.trace.tracer.Tracer` (``repro trace summarize`` and the
-service ``metrics`` op) both fold their observations through a
-:class:`ReservoirSampler`.
+percentiles on sessions) both fold through a :class:`LatencyStats`.
+
+The module lives in :mod:`repro.trace` and depends only on
+:mod:`repro.exceptions` and :mod:`repro.utils`, so the tracer never imports
+:mod:`repro.telemetry` (which imports the session).
 
 The sampler pre-computes the arrival index of the *next* replacement, so the
 steady-state per-observation cost is one integer compare — O(k·log(n/k)) RNG
@@ -26,7 +31,7 @@ import numpy as np
 from repro.exceptions import TelemetryError
 from repro.utils.rng import rng_from_state, rng_state
 
-__all__ = ["ReservoirSampler"]
+__all__ = ["LatencyStats", "ReservoirSampler"]
 
 
 class ReservoirSampler:
@@ -137,3 +142,29 @@ class ReservoirSampler:
             f"ReservoirSampler(capacity={self._capacity}, count={self._count}, "
             f"size={len(self._values)})"
         )
+
+
+class LatencyStats:
+    """Running aggregate of one latency stream (every observation, not a
+    sample): count, total/min/max seconds, plus a :class:`ReservoirSampler`
+    for percentiles.  ``count`` is the sampler's observation count."""
+
+    __slots__ = ("total_seconds", "min_seconds", "max_seconds", "sampler")
+
+    def __init__(self, sampler: ReservoirSampler) -> None:
+        self.total_seconds = 0.0
+        self.min_seconds = float("inf")
+        self.max_seconds = 0.0
+        self.sampler = sampler
+
+    @property
+    def count(self) -> int:
+        return self.sampler.count
+
+    def fold(self, seconds: float) -> None:
+        self.total_seconds += seconds
+        if seconds < self.min_seconds:
+            self.min_seconds = seconds
+        if seconds > self.max_seconds:
+            self.max_seconds = seconds
+        self.sampler.add(seconds)

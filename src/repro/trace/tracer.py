@@ -7,8 +7,8 @@ for million-request streams on a fixed memory budget:
   the oldest spans are dropped (counted in ``dropped_spans``), so retained
   detail is O(buffer) no matter how long the stream runs;
 * **per-phase aggregates** — every recorded observation folds into a
-  per-phase running aggregate (count, total/min/max wall seconds, plus a
-  shared :class:`~repro.telemetry.reservoir.ReservoirSampler` for latency
+  per-phase :class:`~repro.trace.reservoir.LatencyStats` (count,
+  total/min/max wall seconds, plus a reservoir sample for latency
   percentiles), so ``repro trace summarize`` and the service ``metrics`` op
   see far more of the run than the buffered tail.  Instrumentation layers
   choose what to record per request: phases whose duration is measured
@@ -40,8 +40,8 @@ from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ReproError
-from repro.telemetry.reservoir import ReservoirSampler
 from repro.trace.clock import wall_now
+from repro.trace.reservoir import LatencyStats, ReservoirSampler
 from repro.trace.span import Span
 
 __all__ = ["Tracer", "TraceError", "TRACE_FORMAT", "TRACE_VERSION"]
@@ -50,7 +50,6 @@ __all__ = ["Tracer", "TraceError", "TRACE_FORMAT", "TRACE_VERSION"]
 TRACE_FORMAT = "repro.trace"
 TRACE_VERSION = 1
 
-#: Sentinel for "no further replacements" mirrored from the reservoir.
 _DEFAULT_BUFFER = 4096
 _DEFAULT_STRIDE = 1024
 _DEFAULT_RESERVOIR = 256
@@ -61,28 +60,6 @@ _FOLD_FLUSH_EVERY = 512
 
 class TraceError(ReproError):
     """A trace API misuse or a malformed trace payload."""
-
-
-class _PhaseStats:
-    """Running aggregate of one phase name (all observations, not a sample)."""
-
-    __slots__ = ("count", "total_seconds", "min_seconds", "max_seconds", "sampler")
-
-    def __init__(self, sampler: ReservoirSampler) -> None:
-        self.count = 0
-        self.total_seconds = 0.0
-        self.min_seconds = float("inf")
-        self.max_seconds = 0.0
-        self.sampler = sampler
-
-    def fold(self, seconds: float) -> None:
-        self.count += 1
-        self.total_seconds += seconds
-        if seconds < self.min_seconds:
-            self.min_seconds = seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-        self.sampler.add(seconds)
 
 
 class Tracer:
@@ -123,7 +100,7 @@ class Tracer:
         self._reservoir_capacity = int(reservoir_capacity)
         self._spans: Deque[Span] = deque(maxlen=self._buffer_size)
         self._stack: List[Span] = []
-        self._phases: Dict[str, _PhaseStats] = {}
+        self._phases: Dict[str, LatencyStats] = {}
         self._next_id = 0
         self._clock = 0
         self._dropped = 0
@@ -226,13 +203,13 @@ class Tracer:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def _phase(self, name: str) -> _PhaseStats:
+    def _phase(self, name: str) -> LatencyStats:
         stats = self._phases.get(name)
         if stats is None:
             # Per-phase reservoir seed derived from the phase *name* (stable
             # across runs and processes — never from id()/hash()).
             seed = (zlib.crc32(name.encode("utf-8")) ^ self._sample_seed) & 0x7FFFFFFF
-            stats = self._phases[name] = _PhaseStats(
+            stats = self._phases[name] = LatencyStats(
                 ReservoirSampler(capacity=self._reservoir_capacity, seed=seed)
             )
         return stats

@@ -305,6 +305,39 @@ def test_protocol_advance_rejects_non_integer_count(count):
     assert protocol.handle({"op": "status", "name": "s"})["session"]["num_requests"] == 3
 
 
+@pytest.mark.parametrize(
+    "field,line",
+    [
+        ("validate", '{"op": "create", "name": "t", "spec": %s, "validate": "false"}'),
+        ("trace", '{"op": "create", "name": "t", "spec": %s, "trace": 1}'),
+        ("use_accel", '{"op": "create", "name": "t", "spec": %s, "use_accel": "no"}'),
+        ("telemetry", '{"op": "create", "name": "t", "spec": %s, "telemetry": "latency"}'),
+        ("point", '{"op": "submit", "name": "s", "point": 2.7, "commodities": [0]}'),
+        ("point", '{"op": "submit", "name": "s", "point": true, "commodities": [0]}'),
+        ("point", '{"op": "submit", "name": "s", "point": "3", "commodities": [0, 1]}'),
+        ("commodities", '{"op": "submit", "name": "s", "point": 3, "commodities": "01"}'),
+        ("commodities", '{"op": "submit", "name": "s", "point": 3, "commodities": [0, true]}'),
+        ("commodities", '{"op": "submit", "name": "s", "point": 3, "commodities": [1.0]}'),
+    ],
+)
+def test_protocol_rejects_mistyped_fields(field, line):
+    """Wire input is type-checked, never coerced: a mistyped field is a
+    ``ServiceError`` naming it, and neither a session nor a request is
+    created."""
+    protocol = ServiceProtocol(SessionManager())
+    assert protocol.handle({"op": "create", "name": "s", "spec": _spec(0)})["ok"]
+    assert protocol.handle({"op": "submit", "name": "s", "point": 2, "commodities": [1]})["ok"]
+
+    if "%s" in line:
+        line = line % json.dumps(_spec(1))
+    response = json.loads(protocol.handle_line(line))
+    assert response["ok"] is False
+    assert response["error_type"] == "ServiceError"
+    assert f"{field!r}" in response["error"]
+    assert protocol.handle({"op": "list"})["sessions"] == ["s"]
+    assert protocol.handle({"op": "status", "name": "s"})["session"]["num_requests"] == 1
+
+
 def test_protocol_registry_typo_gets_suggestion():
     protocol = ServiceProtocol(SessionManager())
     response = protocol.handle(

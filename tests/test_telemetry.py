@@ -246,6 +246,39 @@ def test_sink_from_state_dict_is_unbound_and_exact():
     assert rebuilt.summary() == session.telemetry.summary()
 
 
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+def test_sink_observe_batching_equals_one_record_batch(count):
+    """The sink's own micro-batching is invisible: ``count`` events fed one
+    at a time through ``observe`` leave every probe exactly ``==`` to the
+    same events delivered in a single ``record_batch`` (counts straddle the
+    64-event flush boundary)."""
+    instance = _scenario_instance("uniform-euclidean", 1)
+    source = _session(instance, "rand-omflp", 1, None)
+    requests = list(instance.requests)
+    items = []
+    for index in range(count):
+        request = requests[index % len(requests)]
+        event = source.submit(request.point, request.commodities)
+        items.append((event, 1e-6 * (index % 7 + 1)))
+
+    # Every read point must flush the buffer by itself, so each gets its own
+    # freshly fed pair of sinks.
+    readers = {
+        "probes": lambda sink: [probe.summary() for probe in sink.probes],
+        "summary": lambda sink: sink.summary(),
+        "state_dict": lambda sink: sink.state_dict(),
+    }
+    for name, read in readers.items():
+        observed, batched = TelemetrySink(), TelemetrySink()
+        for sink in (observed, batched):
+            sink.bind(instance.metric, instance.cost_function)
+        for event, elapsed in items:
+            observed.observe(event, elapsed)
+        batched.record_batch(items)
+        assert read(observed) == read(batched), name
+    assert observed.summary()["latency"]["num_requests"] == count
+
+
 # ---------------------------------------------------------------------------
 # The rolling competitive-ratio estimate vs the post-hoc batch computation
 # ---------------------------------------------------------------------------
