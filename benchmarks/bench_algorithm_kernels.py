@@ -106,25 +106,22 @@ def test_metric_distance_rows(benchmark):
 #: Request counts of the trajectory grid; the metric point count scales with n.
 SIZE_GRID = (256, 1024, 4096)
 
-#: algorithm key -> (factory(use_accel), single_commodity, max_n).  The
-#: primal–dual algorithms are inherently O(history x n) per request on *both*
-#: paths (the accel layer removes constant-factor waste, not the bid-sum
-#: itself), so their grid is capped to keep the script's runtime sane.
+#: algorithm key -> (factory, single_commodity, max_n); the hot path is the
+#: run's ``use_accel`` switch.  The primal–dual algorithms are inherently
+#: O(history x n) per request on *both* paths (the accel layer removes
+#: constant-factor waste, not the bid-sum itself), so their grid is capped to
+#: keep the script's runtime sane.
 _KERNELS = {
-    "meyerson-ofl": (lambda ua: MeyersonOFLAlgorithm(use_accel=ua), True, max(SIZE_GRID)),
+    "meyerson-ofl": (MeyersonOFLAlgorithm, True, max(SIZE_GRID)),
     "per-commodity-meyerson": (
-        lambda ua: PerCommodityAlgorithm("meyerson", use_accel=ua),
+        lambda: PerCommodityAlgorithm("meyerson"),
         False,
         max(SIZE_GRID),
     ),
-    "rand-omflp": (lambda ua: RandOMFLPAlgorithm(use_accel=ua), False, max(SIZE_GRID)),
-    "fotakis-ofl": (lambda ua: FotakisOFLAlgorithm(use_accel=ua), True, 1024),
-    "per-commodity-fotakis": (
-        lambda ua: PerCommodityAlgorithm("fotakis", use_accel=ua),
-        False,
-        1024,
-    ),
-    "pd-omflp": (lambda ua: PDOMFLPAlgorithm(use_accel=ua), False, 1024),
+    "rand-omflp": (RandOMFLPAlgorithm, False, max(SIZE_GRID)),
+    "fotakis-ofl": (FotakisOFLAlgorithm, True, 1024),
+    "per-commodity-fotakis": (lambda: PerCommodityAlgorithm("fotakis"), False, 1024),
+    "pd-omflp": (PDOMFLPAlgorithm, False, 1024),
 }
 
 
@@ -159,9 +156,7 @@ def _trajectory_instance(n: int, *, single_commodity: bool):
 
 def _timed_run(factory, instance, *, use_accel: bool):
     start = time.perf_counter()
-    result = run_online(
-        factory(use_accel), instance, rng=0, validate=False, use_accel=use_accel
-    )
+    result = run_online(factory(), instance, rng=0, validate=False, use_accel=use_accel)
     elapsed = time.perf_counter() - start
     return elapsed, result.total_cost
 

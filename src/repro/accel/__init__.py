@@ -20,8 +20,11 @@ preallocated buffers updated in place.
 All three structures are **bit-identical** to the reference scans they
 replace (same floats, same tie-breaks, same numpy reduction orders); the
 equivalence harness ``tests/test_accel_equivalence.py`` pins this for every
-algorithm x metric x workload x seed combination, and every consumer keeps
-the reference path reachable via ``use_accel=False``.
+algorithm x metric x workload x seed combination.  The reference path is
+reachable through one per-run switch, the session's ``use_accel=False``
+(``run_online``, ``OnlineSession``, ``ScenarioSession``, the service's
+``create``, ``repro serve --no-accel``): :class:`~repro.core.state.OnlineState`
+owns the flag, and the facility store and every algorithm read it there.
 """
 
 from repro.accel.classes import ClassDistanceIndex

@@ -63,8 +63,8 @@ class OnlineAlgorithm(abc.ABC):
         """JSON-compatible snapshot of the algorithm's *per-run mutable* state.
 
         The contract mirrors the torch idiom: ``state_dict`` captures exactly
-        the decision-relevant state accumulated since :meth:`prepare` (helper
-        facility lists, dual stores, bid histories, slot maps) and
+        the decision-relevant state accumulated since :meth:`prepare` (dual
+        stores, bid histories) and
         :meth:`load_state_dict` restores it onto a freshly ``prepare``-d
         instance such that every subsequent :meth:`process` call — given the
         same restored RNG stream and :class:`OnlineState` — is bit-identical
@@ -147,8 +147,9 @@ def run_online(
     :class:`repro.api.session.OnlineSession`: the materialized sequence is fed
     through a session one request at a time, so batch and streaming execution
     share one code path and produce bit-identical costs for the same seed.
-    ``use_accel=False`` selects the reference (scan-per-query) state
-    implementation; see :mod:`repro.accel`.
+    ``use_accel`` is the run's one accel switch: ``False`` selects the
+    reference (scan-per-query) hot path of the state and of the algorithm
+    alike; see :mod:`repro.accel`.
     """
     # Imported lazily: repro.api.session depends on this module for the
     # OnlineAlgorithm / OnlineResult types.
@@ -164,9 +165,6 @@ def run_online(
         validate=validate,
         use_accel=use_accel,
         name=instance.name,
-        # Algorithms that inspect instance.requests (known-horizon baselines)
-        # must see the caller's full instance, exactly as before the shim.
-        instance=instance,
     )
     for request in instance.requests:
         session.submit(request.point, request.commodities)

@@ -8,34 +8,34 @@ deterministic algorithm [5] for the OFLP presented in [14]").
 
 Two artifacts live here:
 
-* :class:`SingleCommodityPrimalDual` — a self-contained helper that runs the
-  primal–dual logic for *one* commodity against its own private facility set.
-  It is reused by the per-commodity decomposition baseline
+* :class:`SingleCommodityPrimalDual` — a helper that runs the primal–dual
+  logic for *one* commodity ``e`` against the run's facility set ``F(e)``,
+  read from and opened into the shared
+  :class:`~repro.core.state.OnlineState`; it keeps only the duals and bid
+  history of its commodity.  It is reused by the per-commodity
+  decomposition baseline
   (:class:`~repro.algorithms.online.per_commodity.PerCommodityAlgorithm`).
 * :class:`FotakisOFLAlgorithm` — the classical OFL algorithm as an
   :class:`~repro.algorithms.base.OnlineAlgorithm` for instances with
   ``|S| = 1`` (used by the substrate sanity experiment).
 
-Acceleration (``use_accel``, default on): the bid sums over earlier demands
-are evaluated from a preallocated
+Acceleration (the run's ``OnlineState.use_accel``, default on): the bid sums
+over earlier demands are evaluated from a preallocated
 :class:`~repro.accel.history.BidHistoryBuffer` (no per-request Python loop or
-``vstack`` copy over the history) and the nearest-own-facility query is O(1)
-via a :class:`~repro.accel.tracker.NearestSetTracker`.  Both are bit-identical
-to the reference path (``use_accel=False``), which is retained for the
-equivalence harness.
+``vstack`` copy over the history), bit-identical to the reference path
+(``use_accel=False``), which is retained for the equivalence harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.accel.history import BidHistoryBuffer
-from repro.accel.tracker import NearestSetTracker
 from repro.algorithms.base import OnlineAlgorithm
-from repro.core.assignment import Assignment
+from repro.core.facility import Facility
 from repro.core.instance import Instance
 from repro.core.requests import Request
 from repro.core.state import OnlineState
@@ -52,15 +52,11 @@ class _HistoryEntry:
 
     point: int
     dual: float
-    nearest_distance: float  # distance to the helper's nearest own facility
+    nearest_distance: float  # d(F(e), point) after the demand was served
 
 
 class SingleCommodityPrimalDual:
     """Primal–dual online facility location for a single commodity.
-
-    The helper owns a private list of facility locations (the facilities *it*
-    decided to open); mapping those decisions onto real
-    :class:`~repro.core.facility.Facility` objects is the caller's job.
 
     Parameters
     ----------
@@ -68,11 +64,12 @@ class SingleCommodityPrimalDual:
         The underlying metric space.
     opening_costs:
         Vector of facility opening costs per point for this commodity.
+    accel:
+        The owning algorithm's ``state.use_accel``: bid sums from a
+        :class:`~repro.accel.history.BidHistoryBuffer` or the reference scan.
     """
 
-    def __init__(
-        self, metric: MetricSpace, opening_costs: Sequence[float], *, use_accel: bool = True
-    ) -> None:
+    def __init__(self, metric: MetricSpace, opening_costs: Sequence[float], accel: bool) -> None:
         costs = np.asarray(opening_costs, dtype=np.float64)
         if costs.shape != (metric.num_points,):
             raise AlgorithmError(
@@ -82,20 +79,10 @@ class SingleCommodityPrimalDual:
         self._costs = costs
         self._history: List[_HistoryEntry] = []  # reference-path bid state only
         self._dual_values: List[float] = []
-        self._facility_points: List[int] = []
         self._row_cache: Dict[int, np.ndarray] = {}
-        self._use_accel = bool(use_accel)
-        self._buffer: Optional[BidHistoryBuffer] = None
-        self._tracker: Optional[NearestSetTracker] = None
-        if self._use_accel:
-            self._buffer = BidHistoryBuffer(metric)
-            self._tracker = NearestSetTracker(metric)
+        self._buffer: Optional[BidHistoryBuffer] = BidHistoryBuffer(metric) if accel else None
 
     # ------------------------------------------------------------------
-    @property
-    def facility_points(self) -> List[int]:
-        return list(self._facility_points)
-
     @property
     def duals(self) -> List[float]:
         """Dual value raised for each processed demand, in arrival order."""
@@ -107,19 +94,6 @@ class SingleCommodityPrimalDual:
             row = np.asarray(self._metric.distances_from(point), dtype=np.float64)
             self._row_cache[point] = row
         return row
-
-    def _nearest_own_facility(self, point: int) -> Tuple[Optional[int], float]:
-        """(index into facility_points, distance) of the nearest own facility."""
-        if self._tracker is not None:
-            entry = self._tracker.nearest(point)
-            if entry is None:
-                return None, float("inf")
-            return entry
-        if not self._facility_points:
-            return None, float("inf")
-        distances = self._metric.distances_between(point, self._facility_points)
-        best = int(np.argmin(distances))
-        return best, float(distances[best])
 
     def _bid_base(self) -> np.ndarray:
         """Bid sum of earlier demands towards every point (constraint (3))."""
@@ -138,7 +112,7 @@ class SingleCommodityPrimalDual:
     # Snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Facility points, dual values and the bid history of the helper.
+        """Dual values and the bid history of the helper.
 
         The shape of ``history`` is the same for both hot paths — per-entry
         ``(point, dual, nearest)`` triples — so the snapshot is agnostic to
@@ -153,21 +127,16 @@ class SingleCommodityPrimalDual:
                 "nearest": [encode_float(entry.nearest_distance) for entry in self._history],
             }
         return {
-            "facility_points": list(self._facility_points),
             "dual_values": [float(v) for v in self._dual_values],
             "history": history,
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Replay facility openings and reload the bid history (fresh helper only)."""
-        if self._facility_points or self._dual_values:
+        """Reload the dual values and the bid history (fresh helper only)."""
+        if self._dual_values:
             raise SnapshotError(
                 "SingleCommodityPrimalDual.load_state_dict requires a fresh helper"
             )
-        for point in state["facility_points"]:
-            self._facility_points.append(int(point))
-            if self._tracker is not None:
-                self._tracker.add(int(point), tag=len(self._facility_points) - 1)
         self._dual_values = [float(v) for v in state["dual_values"]]
         history = state["history"]
         if self._buffer is not None:
@@ -185,16 +154,16 @@ class SingleCommodityPrimalDual:
                 )
 
     # ------------------------------------------------------------------
-    def decide(self, point: int) -> Tuple[str, int, float]:
-        """Process a demand at ``point``.
+    def decide(self, state: OnlineState, request: Request, commodity: int) -> Facility:
+        """Serve ``commodity`` of ``request`` and return the facility to connect to.
 
-        Returns ``(kind, facility_slot, dual)`` where ``kind`` is ``"connect"``
-        (serve from the existing own facility with index ``facility_slot``) or
-        ``"open"`` (a new own facility was opened at point ``facility_slot``
-        — note the different meaning — and the demand is served from it).
+        The demand either connects to the nearest facility of ``F(e)`` or —
+        when constraint (3) becomes tight first — opens a new facility for
+        ``commodity`` through ``state`` and connects to it.
         """
+        point = request.point
         row = self._row(point)
-        slot, nearest_distance = self._nearest_own_facility(point)
+        nearest_distance = state.distance_to_nearest(commodity, point)
 
         base = self._bid_base()
         slack = np.maximum(self._costs - base, 0.0)
@@ -202,28 +171,26 @@ class SingleCommodityPrimalDual:
         open_point = int(np.argmin(open_trigger))
         open_level = float(open_trigger[open_point])
 
-        if nearest_distance <= open_level + 1e-12:
-            dual = nearest_distance
-            kind, payload = "connect", int(slot)
-        else:
+        opened = nearest_distance > open_level + 1e-12
+        if opened:
             dual = open_level
-            self._facility_points.append(open_point)
-            if self._tracker is not None:
-                self._tracker.add(open_point, tag=len(self._facility_points) - 1)
-            kind, payload = "open", open_point
+            facility = state.open_facility(request, open_point, (commodity,))
+        else:
+            dual = nearest_distance
+            facility, _ = state.nearest_offering(commodity, point)
 
         # Update the bid history (the new demand's nearest distance reflects
         # the facility set after its own processing).  The _HistoryEntry list
         # backs only the reference bid sums, so the accel path does not grow
         # it — stale entries would otherwise linger for anyone inspecting it.
-        _, new_nearest = self._nearest_own_facility(point)
+        new_nearest = state.distance_to_nearest(commodity, point)
         if self._buffer is not None:
-            if kind == "open":
+            if opened:
                 self._buffer.update_nearest(self._row(open_point))
             self._buffer.append(point, dual, new_nearest, row=row)
         else:
-            for entry in self._history:
-                if kind == "open":
+            if opened:
+                for entry in self._history:
                     entry.nearest_distance = min(
                         entry.nearest_distance, float(self._row(open_point)[entry.point])
                     )
@@ -231,7 +198,7 @@ class SingleCommodityPrimalDual:
                 _HistoryEntry(point=point, dual=dual, nearest_distance=new_nearest)
             )
         self._dual_values.append(dual)
-        return kind, payload, dual
+        return facility
 
 
 class FotakisOFLAlgorithm(OnlineAlgorithm):
@@ -245,11 +212,9 @@ class FotakisOFLAlgorithm(OnlineAlgorithm):
 
     randomized = False
 
-    def __init__(self, *, use_accel: bool = True) -> None:
+    def __init__(self) -> None:
         self.name = "fotakis-ofl"
-        self._use_accel = bool(use_accel)
         self._helper: Optional[SingleCommodityPrimalDual] = None
-        self._facility_of_slot: Dict[int, int] = {}
 
     def prepare(self, instance: Instance, state: OnlineState, rng) -> None:
         if instance.num_commodities != 1:
@@ -258,40 +223,19 @@ class FotakisOFLAlgorithm(OnlineAlgorithm):
                 f"|S| = {instance.num_commodities}"
             )
         costs = instance.cost_function.costs_over_points((0,), list(range(instance.num_points)))
-        self._helper = SingleCommodityPrimalDual(
-            instance.metric, costs, use_accel=self._use_accel
-        )
-        self._facility_of_slot = {}
+        self._helper = SingleCommodityPrimalDual(instance.metric, costs, state.use_accel)
 
     def state_dict(self) -> Dict[str, Any]:
         if self._helper is None:
             raise AlgorithmError("prepare() was not called before state_dict()")
-        return {
-            "helper": self._helper.state_dict(),
-            "facility_of_slot": [
-                [slot, fid] for slot, fid in self._facility_of_slot.items()
-            ],
-        }
+        return {"helper": self._helper.state_dict()}
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         if self._helper is None:
             raise AlgorithmError("prepare() was not called before load_state_dict()")
         self._helper.load_state_dict(state["helper"])
-        self._facility_of_slot = {
-            int(slot): int(fid) for slot, fid in state["facility_of_slot"]
-        }
 
     def process(self, request: Request, state: OnlineState, rng) -> None:
         if self._helper is None:
             raise AlgorithmError("prepare() was not called before process()")
-        kind, payload, _ = self._helper.decide(request.point)
-        if kind == "open":
-            facility = state.open_facility(request, payload, (0,))
-            slot = len(self._helper.facility_points) - 1
-            self._facility_of_slot[slot] = facility.id
-            facility_id = facility.id
-        else:
-            facility_id = self._facility_of_slot[payload]
-        assignment = Assignment(request_index=request.index)
-        assignment.assign(0, facility_id)
-        state.record_assignment(request, assignment)
+        state.assign_to_single_facility(request, self._helper.decide(state, request, 0))

@@ -7,17 +7,18 @@ classes.  The algorithm is O(log n / log log n)-competitive against adversarial
 sequences and constant-competitive for random order; it is the basis of the
 paper's RAND-OMFLP (Section 4).
 
-As with the deterministic substrate, the reusable logic lives in a
-self-contained helper (:class:`SingleCommodityMeyerson`) so that the
-per-commodity decomposition baseline can instantiate one per commodity, and a
-thin :class:`MeyersonOFLAlgorithm` exposes the classical single-commodity
-algorithm.
+As with the deterministic substrate, the reusable logic lives in a helper
+(:class:`SingleCommodityMeyerson`) so that the per-commodity decomposition
+baseline can instantiate one per commodity, and a thin
+:class:`MeyersonOFLAlgorithm` exposes the classical single-commodity
+algorithm.  The helper holds only its commodity's static cost classes: the
+facility set it decides against is the run's ``F(e)``, read from and opened
+into the shared :class:`~repro.core.state.OnlineState`.
 
-Acceleration (``use_accel``, default on): the helper precomputes the
-per-class distance tables once (:class:`~repro.accel.classes.ClassDistanceIndex`)
-and tracks its own facility set incrementally
-(:class:`~repro.accel.tracker.NearestSetTracker`), turning the per-demand
-work from O(classes x n) into O(classes + opened x n).  The per-class coin
+Acceleration (the run's ``OnlineState.use_accel``, default on): the helper
+precomputes the per-class distance tables once
+(:class:`~repro.accel.classes.ClassDistanceIndex`), turning the per-demand
+class scans from O(classes x n) into O(classes).  The per-class coin
 probabilities are then computed in one vectorized pass instead of a Python
 loop of scalar ``distance_to_class`` calls; the coins themselves are still
 flipped one class at a time so the RNG consumption — and hence every decision
@@ -26,18 +27,17 @@ flipped one class at a time so the RNG consumption — and hence every decision
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accel.classes import ClassDistanceIndex
-from repro.accel.tracker import NearestSetTracker
 from repro.algorithms.base import OnlineAlgorithm
-from repro.core.assignment import Assignment
+from repro.core.facility import Facility
 from repro.core.instance import Instance
 from repro.core.requests import Request
 from repro.core.state import OnlineState
-from repro.exceptions import AlgorithmError, SnapshotError
+from repro.exceptions import AlgorithmError
 from repro.metric.base import MetricSpace
 from repro.utils.maths import round_down_power_of_two
 
@@ -47,13 +47,11 @@ __all__ = ["SingleCommodityMeyerson", "MeyersonOFLAlgorithm"]
 class SingleCommodityMeyerson:
     """Meyerson's randomized online facility location for one commodity.
 
-    The helper owns its private facility list; the caller maps opened
-    facilities onto real state facilities.
+    ``accel`` is the owning algorithm's ``state.use_accel``; the helper keeps
+    no facility set of its own (see :meth:`decide`).
     """
 
-    def __init__(
-        self, metric: MetricSpace, opening_costs: Sequence[float], *, use_accel: bool = True
-    ) -> None:
+    def __init__(self, metric: MetricSpace, opening_costs: Sequence[float], accel: bool) -> None:
         costs = np.asarray(opening_costs, dtype=np.float64)
         if costs.shape != (metric.num_points,):
             raise AlgorithmError(
@@ -61,7 +59,6 @@ class SingleCommodityMeyerson:
             )
         self._metric = metric
         rounded = np.array([round_down_power_of_two(float(c)) for c in costs])
-        self._rounded = rounded
         values = sorted(set(float(v) for v in rounded))
         self._class_values: List[float] = values
         self._values_array = np.asarray(values, dtype=np.float64)
@@ -70,23 +67,15 @@ class SingleCommodityMeyerson:
         self._class_points: List[np.ndarray] = [
             np.where(rounded <= value)[0].astype(np.intp) for value in values
         ]
-        self._facility_points: List[int] = []
-        self._use_accel = bool(use_accel)
         self._class_index: Optional[ClassDistanceIndex] = None
-        self._tracker: Optional[NearestSetTracker] = None
-        if self._use_accel:
+        if accel:
             exact = [np.where(rounded == value)[0].astype(np.intp) for value in values]
             # The cumulative sets are handed over in this helper's reference
             # enumeration order (ascending point index) so lazy nearest-point
             # scans tie-break exactly as the reference path does.
             self._class_index = ClassDistanceIndex(metric, values, exact, self._class_points)
-            self._tracker = NearestSetTracker(metric)
 
     # ------------------------------------------------------------------
-    @property
-    def facility_points(self) -> List[int]:
-        return list(self._facility_points)
-
     @property
     def num_classes(self) -> int:
         return len(self._class_values)
@@ -109,52 +98,23 @@ class SingleCommodityMeyerson:
         nearest, _ = self._metric.nearest(point, points)
         return int(nearest)
 
-    def nearest_own_facility(self, point: int) -> Tuple[Optional[int], float]:
-        if self._tracker is not None:
-            entry = self._tracker.nearest(point)
-            if entry is None:
-                return None, float("inf")
-            return entry
-        if not self._facility_points:
-            return None, float("inf")
-        distances = self._metric.distances_between(point, self._facility_points)
-        best = int(np.argmin(distances))
-        return best, float(distances[best])
-
-    def connection_budget(self, point: int) -> float:
-        """``X(r) = min{d(F, r), min_i (C_i + d(C_i, r))}`` for a demand at ``point``."""
-        _, nearest = self.nearest_own_facility(point)
+    def _cheapest_open_option(self, point: int) -> Tuple[int, float]:
+        """``(i, C_i + d(C_i, r))`` minimizing the opening option over classes."""
         if self._class_index is not None:
-            _, cheapest_open = self._class_index.cheapest_open_option(point)
-        else:
-            cheapest_open = min(
-                self.class_value(i) + self.distance_to_class(i, point)
+            return self._class_index.cheapest_open_option(point)
+        return min(
+            (
+                (i, self.class_value(i) + self.distance_to_class(i, point))
                 for i in range(1, self.num_classes + 1)
-            )
-        return min(nearest, cheapest_open)
+            ),
+            key=lambda option: option[1],
+        )
 
-    def _append_facility(self, point: int) -> None:
-        self._facility_points.append(int(point))
-        if self._tracker is not None:
-            # Tag = slot index, so nearest_own_facility reports the slot the
-            # reference's argmin over the facility list would report.
-            self._tracker.add(int(point), tag=len(self._facility_points) - 1)
-
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """The helper's only mutable state: its facility points, in order."""
-        return {"facility_points": list(self._facility_points)}
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Replay the facility openings (refolds the tracker identically)."""
-        if self._facility_points:
-            raise SnapshotError(
-                "SingleCommodityMeyerson.load_state_dict requires a fresh helper"
-            )
-        for point in state["facility_points"]:
-            self._append_facility(int(point))
+    def connection_budget(self, state: OnlineState, commodity: int, point: int) -> float:
+        """``X(r) = min{d(F(e), r), min_i (C_i + d(C_i, r))}`` for a demand at ``point``."""
+        return min(
+            state.distance_to_nearest(commodity, point), self._cheapest_open_option(point)[1]
+        )
 
     def _class_probabilities(self, point: int, effective_budget: float) -> np.ndarray:
         """Vectorized per-class opening probabilities (fast path only)."""
@@ -174,27 +134,24 @@ class SingleCommodityMeyerson:
         return probabilities
 
     # ------------------------------------------------------------------
-    def decide(self, point: int, rng, *, budget: Optional[float] = None) -> Tuple[List[int], int, float]:
-        """Process a demand at ``point``.
+    def decide(self, state: OnlineState, request: Request, commodity: int, rng) -> Facility:
+        """Serve ``commodity`` of ``request`` and return the facility to connect to.
 
-        ``budget`` overrides the class-0 distance ``d(C_0, r)`` (RAND-OMFLP
-        passes ``min{X(r), Z(r)} * X(r, e) / X(r)`` here); the default is the
-        demand's own connection budget ``X(r)``.
-
-        Returns ``(opened_points, facility_slot, connection_distance)`` where
-        ``facility_slot`` indexes the helper's facility list for the facility
-        the demand connects to.
+        The class coins are flipped against the demand's connection budget
+        ``X(r)``; every success opens a facility for ``commodity`` at the
+        nearest point of that class through ``state``.  The demand connects
+        to the nearest facility of ``F(e)`` afterwards.
         """
-        effective_budget = self.connection_budget(point) if budget is None else float(budget)
+        point = request.point
+        previous_distance = self.connection_budget(state, commodity, point)
         opened: List[int] = []
         if self._class_index is not None:
-            probabilities = self._class_probabilities(point, effective_budget)
+            probabilities = self._class_probabilities(point, previous_distance)
             for i in range(1, self.num_classes + 1):
                 probability = float(probabilities[i - 1])
                 if probability > 0 and rng.uniform() < probability:
                     opened.append(self.nearest_point_of_class(i, point))
         else:
-            previous_distance = effective_budget
             for i in range(1, self.num_classes + 1):
                 value = self.class_value(i)
                 distance_i = self.distance_to_class(i, point)
@@ -207,22 +164,14 @@ class SingleCommodityMeyerson:
                 if probability > 0 and rng.uniform() < probability:
                     opened.append(self.nearest_point_of_class(i, point))
         for new_point in opened:
-            self._append_facility(int(new_point))
-        if not self._facility_points:
+            state.open_facility(request, new_point, (commodity,))
+        if not state.store.has_facility_for(commodity):
             # Feasibility fallback: open the cheapest opening option
             # deterministically (changes constants only, see DESIGN.md §4.2).
-            if self._class_index is not None:
-                best_i, _ = self._class_index.cheapest_open_option(point)
-            else:
-                best_i = min(
-                    range(1, self.num_classes + 1),
-                    key=lambda i: self.class_value(i) + self.distance_to_class(i, point),
-                )
-            fallback = self.nearest_point_of_class(best_i, point)
-            self._append_facility(int(fallback))
-            opened.append(int(fallback))
-        slot, distance = self.nearest_own_facility(point)
-        return opened, int(slot), float(distance)
+            best_i, _ = self._cheapest_open_option(point)
+            state.open_facility(request, self.nearest_point_of_class(best_i, point), (commodity,))
+        facility, _ = state.nearest_offering(commodity, point)
+        return facility
 
 
 class MeyersonOFLAlgorithm(OnlineAlgorithm):
@@ -230,11 +179,9 @@ class MeyersonOFLAlgorithm(OnlineAlgorithm):
 
     randomized = True
 
-    def __init__(self, *, use_accel: bool = True) -> None:
+    def __init__(self) -> None:
         self.name = "meyerson-ofl"
-        self._use_accel = bool(use_accel)
         self._helper: Optional[SingleCommodityMeyerson] = None
-        self._facility_of_slot: Dict[int, int] = {}
 
     def prepare(self, instance: Instance, state: OnlineState, rng) -> None:
         if instance.num_commodities != 1:
@@ -243,39 +190,9 @@ class MeyersonOFLAlgorithm(OnlineAlgorithm):
                 f"|S| = {instance.num_commodities}"
             )
         costs = instance.cost_function.costs_over_points((0,), list(range(instance.num_points)))
-        self._helper = SingleCommodityMeyerson(
-            instance.metric, costs, use_accel=self._use_accel
-        )
-        self._facility_of_slot = {}
-
-    def state_dict(self) -> Dict[str, Any]:
-        if self._helper is None:
-            raise AlgorithmError("prepare() was not called before state_dict()")
-        return {
-            "helper": self._helper.state_dict(),
-            "facility_of_slot": [
-                [slot, fid] for slot, fid in self._facility_of_slot.items()
-            ],
-        }
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        if self._helper is None:
-            raise AlgorithmError("prepare() was not called before load_state_dict()")
-        self._helper.load_state_dict(state["helper"])
-        self._facility_of_slot = {
-            int(slot): int(fid) for slot, fid in state["facility_of_slot"]
-        }
+        self._helper = SingleCommodityMeyerson(instance.metric, costs, state.use_accel)
 
     def process(self, request: Request, state: OnlineState, rng) -> None:
         if self._helper is None:
             raise AlgorithmError("prepare() was not called before process()")
-        before = len(self._helper.facility_points)
-        opened, slot, _ = self._helper.decide(request.point, rng)
-        # Open the real facilities for every new helper facility, in order.
-        helper_points = self._helper.facility_points
-        for new_slot in range(before, len(helper_points)):
-            facility = state.open_facility(request, helper_points[new_slot], (0,))
-            self._facility_of_slot[new_slot] = facility.id
-        assignment = Assignment(request_index=request.index)
-        assignment.assign(0, self._facility_of_slot[slot])
-        state.record_assignment(request, assignment)
+        state.assign_to_single_facility(request, self._helper.decide(state, request, 0, rng))

@@ -69,7 +69,6 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         self,
         *,
         large_configuration: Optional[Iterable[int]] = None,
-        use_accel: bool = True,
     ) -> None:
         self._large_override = (
             frozenset(int(e) for e in large_configuration)
@@ -77,8 +76,9 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
             else None
         )
         self.name = "pd-omflp" if self._large_override is None else "pd-omflp-restricted"
-        self._use_accel = bool(use_accel)
-        # Per-run state; initialized in prepare().
+        # Per-run state; initialized in prepare().  The accel mode is the
+        # run's own (OnlineState.use_accel).
+        self._use_accel = True
         self._duals: Optional[DualVariableStore] = None
         self._instance: Optional[Instance] = None
         self._large_set: FrozenSet[int] = frozenset()
@@ -98,6 +98,7 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
     # ------------------------------------------------------------------
     def prepare(self, instance: Instance, state: OnlineState, rng) -> None:
         self._instance = instance
+        self._use_accel = state.use_accel
         self._duals = DualVariableStore(instance.num_commodities)
         if self._large_override is not None:
             invalid = [e for e in self._large_override if not 0 <= e < instance.num_commodities]
@@ -165,11 +166,12 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
             raise SnapshotError(
                 "PDOMFLPAlgorithm.load_state_dict requires a freshly prepared run"
             )
-        if self._use_accel != ("small_buffers" in state):
+        snapshot_accel = "small_buffers" in state
+        if self._use_accel != snapshot_accel:
             raise SnapshotError(
-                "snapshot was taken on the "
-                f"{'reference' if self._use_accel else 'accelerated'} hot path; "
-                f"construct the algorithm with use_accel={not self._use_accel} to restore it"
+                f"snapshot was taken on the {'accelerated' if snapshot_accel else 'reference'} "
+                f"hot path (use_accel={snapshot_accel}); restore it into a session with "
+                f"use_accel={snapshot_accel}"
             )
         self._duals = DualVariableStore.from_dict(state["duals"])
         if self._use_accel:

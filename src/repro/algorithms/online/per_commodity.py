@@ -16,7 +16,7 @@ facilities (e.g. the Theorem-2 adversary), this baseline loses a factor of
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.algorithms.base import OnlineAlgorithm
 from repro.algorithms.online.fotakis_ofl import SingleCommodityPrimalDual
@@ -33,32 +33,32 @@ __all__ = ["PerCommodityAlgorithm"]
 class PerCommodityAlgorithm(OnlineAlgorithm):
     """Independent single-commodity online facility location per commodity.
 
+    Each commodity's helper decides against ``F(e)`` of the shared
+    :class:`OnlineState`; since this baseline opens only singleton facilities,
+    that set is exactly the helper's own openings.  The helpers take the
+    run's accel mode from ``state.use_accel``.
+
     Parameters
     ----------
     base:
         ``"fotakis"`` (deterministic primal–dual, default) or ``"meyerson"``
         (randomized).
-    use_accel:
-        Forwarded to every per-commodity helper; selects the accelerated
-        (incremental distance-cache) or the bit-identical reference hot path.
     """
 
-    def __init__(self, base: str = "fotakis", *, use_accel: bool = True) -> None:
+    def __init__(self, base: str = "fotakis") -> None:
         if base not in ("fotakis", "meyerson"):
             raise AlgorithmError(f"unknown base algorithm {base!r}")
         self._base = base
-        self._use_accel = bool(use_accel)
         self.name = f"per-commodity-{base}"
         self.randomized = base == "meyerson"
         self._instance: Optional[Instance] = None
-        self._helpers: Dict[int, object] = {}
-        # (commodity, helper facility slot) -> real facility id
-        self._facility_of_slot: Dict[Tuple[int, int], int] = {}
+        self._use_accel = True
+        self._helpers: Dict[int, Any] = {}
 
     def prepare(self, instance: Instance, state: OnlineState, rng) -> None:
         self._instance = instance
+        self._use_accel = state.use_accel
         self._helpers = {}
-        self._facility_of_slot = {}
 
     def _helper_for(self, commodity: int):
         helper = self._helpers.get(commodity)
@@ -66,14 +66,10 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
             costs = self._instance.cost_function.costs_over_points(
                 (commodity,), list(range(self._instance.num_points))
             )
-            if self._base == "fotakis":
-                helper = SingleCommodityPrimalDual(
-                    self._instance.metric, costs, use_accel=self._use_accel
-                )
-            else:
-                helper = SingleCommodityMeyerson(
-                    self._instance.metric, costs, use_accel=self._use_accel
-                )
+            helper_class = (
+                SingleCommodityPrimalDual if self._base == "fotakis" else SingleCommodityMeyerson
+            )
+            helper = helper_class(self._instance.metric, costs, self._use_accel)
             self._helpers[commodity] = helper
         return helper
 
@@ -81,33 +77,34 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
     # Snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Per-commodity helper snapshots (in creation order) plus slot map."""
+        """Per-commodity primal–dual helper snapshots, in creation order.
+
+        Meyerson helpers carry no per-run state, so ``per-commodity-meyerson``
+        snapshots to ``{}``.
+        """
         if self._instance is None:
             raise AlgorithmError("prepare() was not called before state_dict()")
+        if self._base == "meyerson":
+            return {}
         return {
             "helpers": [
                 [commodity, helper.state_dict()]
                 for commodity, helper in self._helpers.items()
-            ],
-            "facility_of_slot": [
-                [commodity, slot, fid]
-                for (commodity, slot), fid in self._facility_of_slot.items()
-            ],
+            ]
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         if self._instance is None:
             raise AlgorithmError("prepare() was not called before load_state_dict()")
+        if self._base == "meyerson":
+            super().load_state_dict(state)
+            return
         if self._helpers:
             raise SnapshotError(
                 "PerCommodityAlgorithm.load_state_dict requires a freshly prepared run"
             )
         for commodity, helper_state in state["helpers"]:
             self._helper_for(int(commodity)).load_state_dict(helper_state)
-        self._facility_of_slot = {
-            (int(commodity), int(slot)): int(fid)
-            for commodity, slot, fid in state["facility_of_slot"]
-        }
 
     def process(self, request: Request, state: OnlineState, rng) -> None:
         if self._instance is None:
@@ -116,21 +113,8 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
         for commodity in sorted(request.commodities):
             helper = self._helper_for(commodity)
             if self._base == "fotakis":
-                kind, payload, _ = helper.decide(request.point)
-                if kind == "open":
-                    facility = state.open_facility(request, payload, (commodity,))
-                    slot = len(helper.facility_points) - 1
-                    self._facility_of_slot[(commodity, slot)] = facility.id
-                    facility_id = facility.id
-                else:
-                    facility_id = self._facility_of_slot[(commodity, payload)]
+                facility = helper.decide(state, request, commodity)
             else:
-                before = len(helper.facility_points)
-                _, slot, _ = helper.decide(request.point, rng)
-                helper_points = helper.facility_points
-                for new_slot in range(before, len(helper_points)):
-                    facility = state.open_facility(request, helper_points[new_slot], (commodity,))
-                    self._facility_of_slot[(commodity, new_slot)] = facility.id
-                facility_id = self._facility_of_slot[(commodity, slot)]
-            assignment.assign(commodity, facility_id)
+                facility = helper.decide(state, request, commodity, rng)
+            assignment.assign(commodity, facility.id)
         state.record_assignment(request, assignment)

@@ -54,8 +54,8 @@ __all__ = ["RandOMFLPAlgorithm"]
 class RandOMFLPAlgorithm(OnlineAlgorithm):
     """Randomized Meyerson-style online algorithm for the OMFLP (Algorithm 2).
 
-    With ``use_accel`` (the default) the static per-class distances
-    ``d(C^τ_i, ·)`` come from precomputed
+    With the run's ``state.use_accel`` on (the default) the static per-class
+    distances ``d(C^τ_i, ·)`` come from precomputed
     :class:`~repro.accel.classes.ClassDistanceIndex` tables (O(1) per query)
     instead of an O(n) scan per class per request; coin flips, trace events
     and every decision are bit-identical to the reference path
@@ -64,9 +64,9 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
 
     randomized = True
 
-    def __init__(self, *, use_accel: bool = True) -> None:
+    def __init__(self) -> None:
         self.name = "rand-omflp"
-        self._use_accel = bool(use_accel)
+        self._use_accel = True
         self._instance: Optional[Instance] = None
         self._small_classes: Dict[int, CostClassIndex] = {}
         self._large_classes: Optional[CostClassIndex] = None
@@ -76,6 +76,7 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
     # ------------------------------------------------------------------
     def prepare(self, instance: Instance, state: OnlineState, rng) -> None:
         self._instance = instance
+        self._use_accel = state.use_accel
         # The facility cost classes are static (costs never change), so they
         # are built once per run; singleton classes are built lazily because a
         # run may never see some commodities.

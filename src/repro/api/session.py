@@ -78,9 +78,12 @@ class AssignmentEvent:
         The facilities the request's commodities were connected to.
     opening_cost_delta:
         Opening cost charged while serving this request (0 when only existing
-        facilities were reused).
+        facilities were reused) — a difference of the running opening totals
+        after and before the request.
     connection_cost:
-        Connection cost of this request's assignment.
+        Connection cost of this request's assignment: exactly the summand
+        :meth:`OnlineState.record_assignment` added to the running connection
+        total (:attr:`OnlineState.last_connection_cost`).
     opening_cost_so_far, connection_cost_so_far:
         Session cost totals after this request.
     """
@@ -164,19 +167,15 @@ class OnlineSession:
     validate:
         Validate feasibility of the final solution in :meth:`finalize`.
     use_accel:
-        Maintain the incremental nearest-facility distance caches of
-        :mod:`repro.accel` (the default), giving the streaming hot path O(1)
-        ``d(F(e), r)`` / ``d(F̂, r)`` queries.  ``False`` selects the
+        The run's one accel switch, owned by the session's
+        :class:`OnlineState` (``state.use_accel``) and read from there by the
+        facility store and the algorithm.  ``True`` (the default) maintains
+        the incremental caches of :mod:`repro.accel`, giving the streaming hot
+        path O(1) ``d(F(e), r)`` / ``d(F̂, r)`` queries; ``False`` selects the
         reference per-query scans — bit-identical, kept for the equivalence
         harness.
     name:
         Instance name used in result rows.
-    instance:
-        Advanced: pass a fully-materialized instance for the algorithm's
-        ``prepare`` hook to see instead of the session's own requestless one.
-        Streaming sessions leave this unset (the future is unknown); the batch
-        shim :func:`~repro.algorithms.base.run_online` sets it so algorithms
-        that inspect ``instance.requests`` keep their pre-session semantics.
     telemetry:
         Opt-in streaming metrics (:mod:`repro.telemetry`).  ``True`` attaches
         the stock probe catalog; a list of probe names/spec dicts or a
@@ -212,7 +211,6 @@ class OnlineSession:
         validate: bool = True,
         use_accel: bool = True,
         name: str = "session",
-        instance: Optional[Instance] = None,
         telemetry: Any = None,
         tracer: Any = None,
     ) -> None:
@@ -224,14 +222,11 @@ class OnlineSession:
         # start is recorded on the final RunRecord alongside the optional
         # seed, and anchors snapshot/restore.
         self._initial_rng_state = rng_state(self._rng)
-        self._use_accel = bool(use_accel)
         self._validate = validate
         self._tracer = Tracer.coerce(tracer)
-        if instance is None:
-            instance = Instance(
-                metric, cost, RequestSequence([]), commodities=commodities, name=name
-            )
-        self._instance = instance
+        self._instance = Instance(
+            metric, cost, RequestSequence([]), commodities=commodities, name=name
+        )
         build_start = wall_now()
         self._state = OnlineState(
             self._instance, trace=Trace(enabled=trace), use_accel=use_accel
@@ -244,7 +239,7 @@ class OnlineSession:
                 category="session",
                 seconds=wall_now() - build_start,
                 wall_start=build_start,
-                attributes={"use_accel": self._use_accel},
+                attributes={"use_accel": self._state.use_accel},
             )
         self._runtime = 0.0
         self._record: Optional[RunRecord] = None
@@ -371,7 +366,6 @@ class OnlineSession:
             )
 
         opening_before = self._state.current_opening_cost()
-        connection_before = self._state.current_connection_cost()
         start = wall_now()
         self._algorithm.process(request, self._state, self._rng)
         elapsed = wall_now() - start
@@ -384,7 +378,7 @@ class OnlineSession:
                     ordinal=request.index,
                     seconds=elapsed,
                     wall_start=start,
-                    attributes={"use_accel": self._use_accel},
+                    attributes={"use_accel": self._state.use_accel},
                 )
                 event_start = wall_now()
             else:
@@ -405,7 +399,7 @@ class OnlineSession:
             commodities=request.commodities,
             facility_ids=tuple(sorted(assignment.facility_ids())),
             opening_cost_delta=opening_after - opening_before,
-            connection_cost=connection_after - connection_before,
+            connection_cost=self._state.last_connection_cost,
             opening_cost_so_far=opening_after,
             connection_cost_so_far=connection_after,
         )
@@ -473,7 +467,7 @@ class OnlineSession:
             seed=self._seed,
             initial_rng_state=copy.deepcopy(self._initial_rng_state),
             rng_state=rng_state(self._rng),
-            use_accel=self._use_accel,
+            use_accel=self._state.use_accel,
             validate=self._validate,
             instance_name=self._instance.name,
             runtime_seconds=self._runtime,
@@ -496,7 +490,6 @@ class OnlineSession:
         metric: Optional[MetricSpace] = None,
         cost: Optional[FacilityCostFunction] = None,
         commodities: Optional[CommodityUniverse] = None,
-        instance: Optional[Instance] = None,
     ) -> "OnlineSession":
         """Rebuild a session from a :meth:`snapshot` (accepts dict/JSON forms).
 
@@ -505,9 +498,9 @@ class OnlineSession:
         * pass nothing extra — the snapshot must carry an embedded declarative
           ``spec``, from which algorithm and instance are rebuilt (the
           :class:`~repro.service.SessionManager` path);
-        * pass a freshly built ``algorithm`` plus ``metric`` and ``cost`` (or a
-          whole ``instance``) equivalent to the originals — the "fresh
-          process" path when the session was constructed from live objects.
+        * pass a freshly built ``algorithm`` plus ``metric`` and ``cost``
+          equivalent to the originals — the "fresh process" path when the
+          session was constructed from live objects.
 
         The restored session then continues the stream bit-identically: same
         costs, same facility openings, same coin flips.
@@ -516,33 +509,15 @@ class OnlineSession:
 
         snapshot = SessionSnapshot.coerce(snapshot)
         if algorithm is not None:
-            if instance is not None:
-                metric = instance.metric
-                cost = instance.cost_function
-                commodities = commodities or instance.commodities
-                # The instance supplies only the environment: the restored
-                # session keeps the snapshot's name, not the instance's.
-                instance = Instance(
-                    metric,
-                    cost,
-                    instance.requests,
-                    commodities=instance.commodities,
-                    name=snapshot.instance_name,
-                )
             if metric is None or cost is None:
-                raise SnapshotError(
-                    "restore() needs metric and cost (or a whole instance) "
-                    "alongside the algorithm"
-                )
+                raise SnapshotError("restore() needs metric and cost alongside the algorithm")
         else:
-            if metric is not None or cost is not None or instance is not None:
-                raise SnapshotError(
-                    "restore() needs the algorithm alongside metric/cost/instance"
-                )
+            if metric is not None or cost is not None:
+                raise SnapshotError("restore() needs the algorithm alongside metric/cost")
             if snapshot.spec is None:
                 raise SnapshotError(
                     "snapshot has no embedded spec; pass algorithm, metric and "
-                    "cost (or instance) explicitly"
+                    "cost explicitly"
                 )
             algorithm, built, _ = components_from_spec(snapshot.spec)
             metric = built.metric
@@ -564,7 +539,6 @@ class OnlineSession:
             validate=snapshot.validate,
             use_accel=snapshot.use_accel,
             name=snapshot.instance_name,
-            instance=instance,
         )
         session._state.load_state_dict(snapshot.state)
         session._algorithm.load_state_dict(snapshot.algorithm_state)

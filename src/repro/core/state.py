@@ -38,8 +38,9 @@ class OnlineState:
         use_accel: bool = True,
     ) -> None:
         self._instance = instance
+        self._use_accel = bool(use_accel)
         self._store = FacilityStore(
-            instance.metric, instance.cost_function, use_accel=use_accel
+            instance.metric, instance.cost_function, use_accel=self._use_accel
         )
         self._assignments: Dict[int, Assignment] = {}
         self._trace = trace if trace is not None else Trace(enabled=False)
@@ -52,6 +53,7 @@ class OnlineState:
         # O(1) per request instead of O(n) end-of-run recomputation while
         # staying bit-identical to the batch total.
         self._connection_cost = 0.0
+        self._last_connection_cost = 0.0
 
     # ------------------------------------------------------------------
     # Read-only views
@@ -59,6 +61,16 @@ class OnlineState:
     @property
     def instance(self) -> Instance:
         return self._instance
+
+    @property
+    def use_accel(self) -> bool:
+        """The run's one accel switch (:mod:`repro.accel`).
+
+        ``True`` selects the incremental caches, ``False`` the reference
+        scans; the facility store and every algorithm read this flag, so a
+        run never mixes the two hot paths.
+        """
+        return self._use_accel
 
     @property
     def store(self) -> FacilityStore:
@@ -80,6 +92,15 @@ class OnlineState:
 
     def assignment_of(self, request_index: int) -> Assignment:
         return self._assignments[request_index]
+
+    @property
+    def last_connection_cost(self) -> float:
+        """Connection cost charged by the latest :meth:`record_assignment`.
+
+        The exact summand that call added to the running connection total
+        (``0.0`` before any assignment).
+        """
+        return self._last_connection_cost
 
     # ------------------------------------------------------------------
     # Distance queries (the paper's d(F(e), r) and d(F̂, r))
@@ -128,6 +149,7 @@ class OnlineState:
         self._processed_requests.append(request)
         connection = assignment.connection_cost(request, facilities, self._instance.metric)
         self._connection_cost += connection
+        self._last_connection_cost = connection
         self._trace.record(
             RequestAssignedEvent(
                 request_index=request.index,

@@ -36,11 +36,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.base import OnlineAlgorithm
+from repro.api.session import OnlineSession
 from repro.core.commodities import CommodityUniverse
-from repro.core.instance import Instance
-from repro.core.requests import Request, RequestSequence
-from repro.core.state import OnlineState
-from repro.core.trace import Trace
 from repro.costs.count_based import ConstantCost
 from repro.exceptions import InvalidInstanceError
 from repro.metric.line import LineMetric
@@ -116,29 +113,25 @@ def run_adaptive_line_game(
     def nearest_grid_point(x: float) -> int:
         return int(np.argmin(np.abs(coordinates - x)))
 
-    # Build the request sequence adaptively by driving an OnlineState directly.
-    instance_stub = Instance(
+    # The request sequence is built adaptively, one streamed request at a time.
+    session = OnlineSession(
+        algorithm,
         metric,
         cost,
-        RequestSequence([]),
         commodities=CommodityUniverse(1),
+        rng=generator,
         name=f"fotakis-line(n={num_requests})",
     )
-    state = OnlineState(instance_stub, trace=Trace(enabled=False))
-    algorithm.prepare(instance_stub, state, generator)
 
     realized: List[Tuple[int, float]] = []  # (point index, coordinate)
     lo, hi = 0.0, 1.0
-    request_index = 0
     for phase in range(phases):
         centre = 0.5 * (lo + hi)
         point = nearest_grid_point(centre)
         batch = min(growth**phase, max(num_requests - len(realized), 1))
         for _ in range(batch):
-            request = Request(index=request_index, point=point, commodities=frozenset((0,)))
-            algorithm.process(request, state, generator)
+            session.submit(point, (0,))
             realized.append((point, float(coordinates[point])))
-            request_index += 1
             if len(realized) >= num_requests:
                 break
         if len(realized) >= num_requests:
@@ -147,14 +140,14 @@ def run_adaptive_line_game(
         # nearest open facility (the adaptive step of the lower bound).
         left_centre = 0.5 * (lo + centre)
         right_centre = 0.5 * (centre + hi)
-        left_distance = state.distance_to_nearest(0, nearest_grid_point(left_centre))
-        right_distance = state.distance_to_nearest(0, nearest_grid_point(right_centre))
+        left_distance = session.state.distance_to_nearest(0, nearest_grid_point(left_centre))
+        right_distance = session.state.distance_to_nearest(0, nearest_grid_point(right_centre))
         if left_distance >= right_distance:
             hi = centre
         else:
             lo = centre
 
-    algorithm_cost = state.current_total_cost()
+    algorithm_cost = session.total_cost
 
     # OPT estimate: the best single facility for the realized sequence.
     realized_points = np.array([p for p, _ in realized], dtype=np.intp)

@@ -171,7 +171,13 @@ def restore_session_and_stream(
         )
     # One environment build serves both the session and the resumed stream.
     algorithm, instance, _generator, stream = scenario_session_components(spec)
-    session = OnlineSession.restore(snapshot, algorithm=algorithm, instance=instance)
+    session = OnlineSession.restore(
+        snapshot,
+        algorithm=algorithm,
+        metric=instance.metric,
+        cost=instance.cost_function,
+        commodities=instance.commodities,
+    )
     stream.load_state_dict(snapshot.scenario_state)
     if stream.position != session.num_requests:
         raise ScenarioError(
@@ -191,7 +197,8 @@ class ScenarioSession:
         whose ``scenario`` entry names the arrival process and whose
         ``algorithm`` is an online algorithm.
     use_accel:
-        Accel mode of the underlying session.
+        Accel mode of the run: the underlying session's one switch, which
+        its facility store and the spec's algorithm both read.
     telemetry:
         Opt-in streaming metrics, forwarded to the underlying
         :class:`OnlineSession` (``True``, a probe list, or a prebuilt

@@ -158,8 +158,8 @@ class SessionManager:
         spec: Mapping[str, Any],
         *,
         use_accel: Optional[bool] = None,
-        trace: bool = False,
-        validate: bool = True,
+        trace: Optional[bool] = None,
+        validate: Optional[bool] = None,
         telemetry: Any = None,
     ) -> Dict[str, Any]:
         """Create a named session from a declarative RunSpec dict.
@@ -170,6 +170,10 @@ class SessionManager:
         :meth:`submit` (or, for a scenario spec, :meth:`advance`).  A
         ``seed`` is required so that evicted sessions can rebuild their
         environment bit-identically from the spec alone.
+
+        ``trace`` and ``validate`` default to ``None``, meaning the spec's own
+        values; an explicit bool overrides the spec, and the spec embedded in
+        the session's snapshots records the value the session runs with.
 
         ``telemetry`` opts the session into streaming metrics (``True`` for
         the stock probe catalog, or a list of probe names/spec dicts — see
@@ -191,6 +195,10 @@ class SessionManager:
                 "session specs need an explicit 'seed' so a snapshotted "
                 "session can rebuild its environment deterministically"
             )
+        if trace is not None:
+            run_spec.trace = bool(trace)
+        if validate is not None:
+            run_spec.validate = bool(validate)
         spec_dict = run_spec.to_dict()
         stream = None
         if run_spec.scenario is not None:
@@ -207,8 +215,8 @@ class SessionManager:
             instance.cost_function,
             commodities=instance.commodities,
             rng=generator,
-            trace=trace,
-            validate=validate,
+            trace=run_spec.trace,
+            validate=run_spec.validate,
             use_accel=(
                 self._default_use_accel if use_accel is None else bool(use_accel)
             ),

@@ -19,7 +19,8 @@ Operations
 ``create``
     ``{"op": "create", "name": ..., "spec": {...RunSpec dict...}}`` — create a
     named session (optional JSON-boolean ``use_accel``/``trace``/``validate``
-    flags; ``use_accel`` may be ``null``).  An optional ``telemetry`` field
+    flags; ``use_accel`` may be ``null``, and an absent ``trace``/``validate``
+    takes the spec's value).  An optional ``telemetry`` field
     opts the session into streaming metrics: ``true`` for the stock probe
     catalog, or a list of probe names / spec dicts (see
     :mod:`repro.telemetry`); subsequent ``status`` responses then carry the
@@ -194,7 +195,9 @@ class ServiceProtocol:
         """``message[key]`` (``default`` when absent), or a :class:`ServiceError`
         naming the field unless ``valid`` accepts it.  Wire input is never
         coerced: ``bool("false")`` is true and ``int(2.7)`` is 2."""
-        value = message.get(key, default)
+        if key not in message:
+            return default
+        value = message[key]
         if not valid(value):
             raise ServiceError(
                 f"{message.get('op')} field {key!r} must be {expected}, got {value!r}"
@@ -211,8 +214,9 @@ class ServiceProtocol:
             name,
             spec,
             use_accel=self._typed(message, "use_accel", _is_optional_bool, "a boolean or null"),
-            trace=self._typed(message, "trace", _is_bool, "a boolean", False),
-            validate=self._typed(message, "validate", _is_bool, "a boolean", True),
+            # Absent flags pass None: the session takes the spec's value.
+            trace=self._typed(message, "trace", _is_bool, "a boolean"),
+            validate=self._typed(message, "validate", _is_bool, "a boolean"),
             telemetry=self._typed(
                 message,
                 "telemetry",

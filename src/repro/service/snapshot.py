@@ -4,8 +4,9 @@ A :class:`SessionSnapshot` is the durable form of a mid-stream
 :class:`~repro.api.session.OnlineSession`: everything needed to continue the
 run **bit-identically** in a fresh process —
 
-* the algorithm's ``state_dict`` (dual stores, bid histories, helper facility
-  lists — see :meth:`repro.algorithms.base.OnlineAlgorithm.state_dict`),
+* the algorithm's ``state_dict`` (dual stores, bid histories — see
+  :meth:`repro.algorithms.base.OnlineAlgorithm.state_dict`; the facility set
+  lives only in the online state below),
 * the online state's mutation log (facilities in opening order, assignments
   in arrival order, the trace) from
   :meth:`repro.core.state.OnlineState.state_dict`,
@@ -44,8 +45,9 @@ __all__ = ["SessionSnapshot", "components_from_spec"]
 #: Format marker embedded in every serialized snapshot.
 SNAPSHOT_FORMAT = "repro-session-snapshot"
 
-#: Current codec version (bump on breaking changes to the state shapes).
-SNAPSHOT_VERSION = 1
+#: Current codec version (bump on breaking changes to the state shapes; files
+#: of any other version are refused rather than reinterpreted).
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -132,14 +132,14 @@ SCENARIOS: List[Tuple[str, int, Callable[[int], Instance]]] = [
     ("uniform-euclidean", 5, _uniform_euclidean_multi),
 ]
 
-#: name -> (factory taking use_accel, single_commodity_only)
-ALGORITHMS: Dict[str, Tuple[Callable[[bool], OnlineAlgorithm], bool]] = {
-    "meyerson-ofl": (lambda ua: MeyersonOFLAlgorithm(use_accel=ua), True),
-    "fotakis-ofl": (lambda ua: FotakisOFLAlgorithm(use_accel=ua), True),
-    "pd-omflp": (lambda ua: PDOMFLPAlgorithm(use_accel=ua), False),
-    "rand-omflp": (lambda ua: RandOMFLPAlgorithm(use_accel=ua), False),
-    "per-commodity-fotakis": (lambda ua: PerCommodityAlgorithm("fotakis", use_accel=ua), False),
-    "per-commodity-meyerson": (lambda ua: PerCommodityAlgorithm("meyerson", use_accel=ua), False),
+#: name -> (factory, single_commodity_only); the accel mode is the session's.
+ALGORITHMS: Dict[str, Tuple[Callable[[], OnlineAlgorithm], bool]] = {
+    "meyerson-ofl": (MeyersonOFLAlgorithm, True),
+    "fotakis-ofl": (FotakisOFLAlgorithm, True),
+    "pd-omflp": (PDOMFLPAlgorithm, False),
+    "rand-omflp": (RandOMFLPAlgorithm, False),
+    "per-commodity-fotakis": (lambda: PerCommodityAlgorithm("fotakis"), False),
+    "per-commodity-meyerson": (lambda: PerCommodityAlgorithm("meyerson"), False),
 }
 
 CASES = [
@@ -182,9 +182,7 @@ def _run(algorithm_name: str, scenario_name: str, seed: int, use_accel: bool) ->
     factory, _ = ALGORITHMS[algorithm_name]
     builder = next(b for name, _, b in SCENARIOS if name == scenario_name)
     instance = builder(seed)
-    return run_online(
-        factory(use_accel), instance, rng=seed, trace=True, use_accel=use_accel
-    )
+    return run_online(factory(), instance, rng=seed, trace=True, use_accel=use_accel)
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +219,10 @@ def test_streaming_session_matches_batch_fast_path():
         instance.cost_function,
         commodities=instance.commodities,
         use_accel=True,
-        instance=instance,
+        name=instance.name,
     )
     for request in instance.requests:
         session.submit(request.point, request.commodities)
     record = session.finalize()
     assert record.total_cost == batch.total_cost
     assert _facility_sequence(record.source) == _facility_sequence(batch)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_meyerson_budget_override_equivalence(seed):
-    """SingleCommodityMeyerson.decide with an explicit budget (the RAND-OMFLP
-    entry point) is bit-identical between the fast and reference helper."""
-    from repro.algorithms.online.meyerson_ofl import SingleCommodityMeyerson
-
-    rng = ensure_rng(seed)
-    metric = random_euclidean_metric(30, rng=seed)
-    costs = rng.uniform(0.25, 4.0, size=metric.num_points)
-    reference = SingleCommodityMeyerson(metric, costs, use_accel=False)
-    fast = SingleCommodityMeyerson(metric, costs, use_accel=True)
-    rng_ref, rng_fast = ensure_rng(seed + 1), ensure_rng(seed + 1)
-    for _ in range(40):
-        point = int(rng.integers(0, metric.num_points))
-        budget = float(rng.uniform(0.0, 2.0)) if rng.uniform() < 0.5 else None
-        out_ref = reference.decide(point, rng_ref, budget=budget)
-        out_fast = fast.decide(point, rng_fast, budget=budget)
-        assert out_fast == out_ref
-    assert fast.facility_points == reference.facility_points

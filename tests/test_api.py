@@ -399,19 +399,54 @@ class TestOnlineSession:
             rebuilt = type(event).from_dict(json.loads(json.dumps(data)))
             assert rebuilt == event
 
-    def test_legacy_run_online_passes_full_instance_to_prepare(self, small_instance):
-        # Regression: the batch shim must hand algorithms the caller's real
-        # instance, not the session's requestless one (known-horizon
-        # algorithms read instance.requests in prepare()).
+    def test_event_connection_cost_is_the_ledgers_summand(self):
+        # The event carries the exact connection cost record_assignment
+        # charged (the RequestAssignedEvent value), not a difference of the
+        # running totals, so summing the events in order rebuilds the ledger.
+        from repro.core.trace import RequestAssignedEvent
+        from repro.scenarios import ScenarioSession
+
+        spec = {
+            "algorithm": "rand-omflp",
+            "scenario": {
+                "kind": "zipf",
+                "num_requests": 400,
+                "num_commodities": 8,
+                "num_points": 256,
+            },
+            "seed": 0,
+            "trace": True,
+        }
+        scenario_session = ScenarioSession(spec)
+        events = scenario_session.advance()
+        charged = [
+            event.connection_cost
+            for event in scenario_session.session.state.trace.events
+            if isinstance(event, RequestAssignedEvent)
+        ]
+        assert [event.connection_cost for event in events] == charged
+        total = 0.0
+        for event in events:
+            total += event.connection_cost
+            assert total == event.connection_cost_so_far
+
+    def test_run_online_prepares_on_the_instance_environment(self, small_instance):
+        # The batch shim streams through a session: prepare() sees the
+        # caller's environment and name but, as in the online model, none of
+        # the future requests.
         seen = {}
 
-        class HorizonProbe(PDOMFLPAlgorithm):
+        class EnvironmentProbe(PDOMFLPAlgorithm):
             def prepare(self, instance, state, rng):
-                seen["n"] = instance.num_requests
+                seen["instance"] = instance
                 super().prepare(instance, state, rng)
 
-        run_online(HorizonProbe(), small_instance)
-        assert seen["n"] == small_instance.num_requests
+        run_online(EnvironmentProbe(), small_instance)
+        instance = seen["instance"]
+        assert instance.metric is small_instance.metric
+        assert instance.cost_function is small_instance.cost_function
+        assert instance.name == small_instance.name
+        assert instance.num_requests == 0
 
 
 class TestCLISpec:

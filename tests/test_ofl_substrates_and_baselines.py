@@ -12,8 +12,10 @@ from repro.algorithms.online.no_prediction import NoPredictionGreedy
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
 from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
 from repro.core.instance import Instance
-from repro.core.requests import RequestSequence
+from repro.core.requests import Request, RequestSequence
+from repro.core.state import OnlineState
 from repro.costs.count_based import AdversaryCost, ConstantCost, LinearCost
+from repro.costs.general import PerPointScaledCost
 from repro.exceptions import AlgorithmError
 from repro.metric.factories import uniform_line_metric
 from repro.metric.single_point import SinglePointMetric
@@ -34,55 +36,68 @@ def single_commodity_instance(num_requests: int = 10, seed: int = 0) -> Instance
     ).instance
 
 
+def ofl_state(costs, *, use_accel: bool = True) -> OnlineState:
+    """A fresh |S| = 1 state on the uniform line whose point ``m`` opens at ``costs[m]``."""
+    cost = PerPointScaledCost(ConstantCost(1), costs)
+    instance = Instance(uniform_line_metric(len(costs)), cost, RequestSequence([]))
+    return OnlineState(instance, use_accel=use_accel)
+
+
+def demand(index: int, point: int) -> Request:
+    return Request(index=index, point=point, commodities=frozenset({0}))
+
+
+@pytest.mark.parametrize("use_accel", [True, False])
 class TestSingleCommodityPrimalDualHelper:
-    def test_opens_then_reuses(self):
-        metric = uniform_line_metric(3)
-        helper = SingleCommodityPrimalDual(metric, [1.0, 1.0, 1.0])
-        kind, point, dual = helper.decide(0)
-        assert kind == "open"
-        assert dual == pytest.approx(1.0)
-        kind2, slot, dual2 = helper.decide(0)
-        assert kind2 == "connect"
-        assert dual2 == pytest.approx(0.0)
-        assert helper.facility_points == [0]
+    def test_opens_then_reuses(self, use_accel):
+        state = ofl_state([1.0, 1.0, 1.0], use_accel=use_accel)
+        helper = SingleCommodityPrimalDual(state.instance.metric, [1.0, 1.0, 1.0], use_accel)
+        first = helper.decide(state, demand(0, 0), 0)
+        assert first.point == 0
+        second = helper.decide(state, demand(1, 0), 0)
+        assert second == first
+        assert state.store.facilities == [first]
         assert helper.duals == [1.0, 0.0]
 
-    def test_costs_shape_checked(self):
+    def test_costs_shape_checked(self, use_accel):
         metric = uniform_line_metric(3)
         with pytest.raises(AlgorithmError):
-            SingleCommodityPrimalDual(metric, [1.0, 1.0])
+            SingleCommodityPrimalDual(metric, [1.0, 1.0], use_accel)
 
-    def test_prefers_cheap_remote_point(self):
-        metric = uniform_line_metric(3)
-        helper = SingleCommodityPrimalDual(metric, [10.0, 0.1, 10.0])
-        kind, point, dual = helper.decide(0)
-        assert kind == "open"
-        assert point == 1
-        assert dual == pytest.approx(0.6)  # distance 0.5 + cost 0.1
+    def test_prefers_cheap_remote_point(self, use_accel):
+        costs = [10.0, 0.1, 10.0]
+        state = ofl_state(costs, use_accel=use_accel)
+        helper = SingleCommodityPrimalDual(state.instance.metric, costs, use_accel)
+        facility = helper.decide(state, demand(0, 0), 0)
+        assert facility.point == 1
+        assert facility.opening_cost == pytest.approx(0.1)
+        assert helper.duals == [pytest.approx(0.6)]  # distance 0.5 + cost 0.1
 
 
+@pytest.mark.parametrize("use_accel", [True, False])
 class TestSingleCommodityMeyersonHelper:
-    def test_classes_and_budget(self):
-        metric = uniform_line_metric(4)
-        helper = SingleCommodityMeyerson(metric, [1.0, 2.0, 4.0, 8.0])
+    def test_classes_and_budget(self, use_accel):
+        costs = [1.0, 2.0, 4.0, 8.0]
+        state = ofl_state(costs, use_accel=use_accel)
+        helper = SingleCommodityMeyerson(state.instance.metric, costs, use_accel)
         assert helper.num_classes == 4
         assert helper.class_value(1) == 1.0
         assert helper.distance_to_class(4, 0) == 0.0
         # Budget before any facility: cheapest open option.
-        assert helper.connection_budget(0) == pytest.approx(1.0)
+        assert helper.connection_budget(state, 0, 0) == pytest.approx(1.0)
 
-    def test_decide_always_yields_a_facility(self):
-        metric = uniform_line_metric(4)
-        helper = SingleCommodityMeyerson(metric, [1.0, 1.0, 1.0, 1.0])
-        rng = np.random.default_rng(0)
-        opened, slot, distance = helper.decide(2, rng)
-        assert helper.facility_points
-        assert distance < float("inf")
+    def test_decide_always_yields_a_facility(self, use_accel):
+        costs = [1.0, 1.0, 1.0, 1.0]
+        state = ofl_state(costs, use_accel=use_accel)
+        helper = SingleCommodityMeyerson(state.instance.metric, costs, use_accel)
+        facility = helper.decide(state, demand(0, 2), 0, np.random.default_rng(0))
+        assert facility in state.store.facilities
+        assert state.distance_to_nearest(0, 2) < float("inf")
 
-    def test_costs_shape_checked(self):
+    def test_costs_shape_checked(self, use_accel):
         metric = uniform_line_metric(2)
         with pytest.raises(AlgorithmError):
-            SingleCommodityMeyerson(metric, [1.0])
+            SingleCommodityMeyerson(metric, [1.0], use_accel)
 
 
 class TestOFLAlgorithms:

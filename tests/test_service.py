@@ -248,6 +248,68 @@ def test_manager_finalized_sessions_reject_submits():
     assert manager.names() == []
 
 
+def test_create_takes_trace_and_validate_from_the_spec():
+    """Absent create flags take the spec's trace/validate (manager and wire
+    alike); an explicit flag overrides the spec, and the spec embedded in the
+    snapshot records what the session runs with."""
+    from repro.service.snapshot import SessionSnapshot
+
+    spec = {**_explicit_spec(), "trace": True, "validate": False}
+    manager = SessionManager()
+    manager.create("m", spec)
+    protocol = ServiceProtocol(SessionManager())
+    assert protocol.handle({"op": "create", "name": "p", "spec": spec})["ok"]
+    wire = SessionSnapshot.from_dict(protocol.handle({"op": "snapshot", "name": "p"})["snapshot"])
+    for snapshot in (manager.snapshot("m"), wire):
+        assert snapshot.trace_enabled is True
+        assert snapshot.validate is False
+        assert snapshot.spec["trace"] is True and snapshot.spec["validate"] is False
+
+    manager.create("o", spec, trace=False, validate=True)
+    overridden = manager.snapshot("o")
+    assert overridden.trace_enabled is False and overridden.validate is True
+    assert "trace" not in overridden.spec and "validate" not in overridden.spec
+
+
+def test_use_accel_false_sessions_run_the_reference_path(monkeypatch):
+    """The session's use_accel is the run's only accel switch: PD-OMFLP under
+    a use_accel=False ScenarioSession or manager session never evaluates the
+    accelerated bid sums (BidHistoryBuffer.base), while use_accel=True does."""
+    from repro.accel.history import BidHistoryBuffer
+    from repro.scenarios import ScenarioSession
+
+    calls = []
+    base = BidHistoryBuffer.base
+
+    def counted(self):
+        calls.append(1)
+        return base(self)
+
+    monkeypatch.setattr(BidHistoryBuffer, "base", counted)
+    spec = {
+        "algorithm": "pd-omflp",
+        "scenario": {"kind": "zipf", "num_requests": 12, "num_commodities": 4},
+        "seed": 0,
+    }
+
+    def run_all(use_accel):
+        ScenarioSession(spec, use_accel=use_accel).advance()
+        manager = SessionManager()
+        manager.create("scenario", spec, use_accel=use_accel)
+        manager.advance("scenario")
+        manager.create("client", _explicit_spec(), use_accel=use_accel)
+        for point, commodities in STREAM_A:
+            manager.submit("client", point, commodities)
+        protocol = ServiceProtocol(SessionManager(default_use_accel=use_accel))
+        assert protocol.handle({"op": "create", "name": "wire", "spec": spec})["ok"]
+        assert protocol.handle({"op": "advance", "name": "wire"})["ok"]
+
+    run_all(False)
+    assert calls == []
+    run_all(True)
+    assert calls
+
+
 # ---------------------------------------------------------------------------
 # Wire protocol (in-process)
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ floats throughout — "close" is not good enough; resume is exact or broken.
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Dict, List, Tuple
 
 import pytest
@@ -38,6 +39,7 @@ from repro.api.session import OnlineSession
 from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
 from repro.core.requests import Request, RequestSequence
+from repro.core.state import OnlineState
 from repro.costs.count_based import PowerCost
 from repro.costs.general import PerPointScaledCost
 from repro.exceptions import SnapshotError
@@ -127,26 +129,18 @@ SCENARIOS: List[Tuple[str, int, Callable[[int], Instance]]] = [
     ("service-network-multi", 4, _service_network(4)),
 ]
 
-#: name -> (factory taking (num_commodities, use_accel), single_commodity_only)
-ALGORITHMS: Dict[str, Tuple[Callable[[int, bool], OnlineAlgorithm], bool]] = {
-    "meyerson-ofl": (lambda c, ua: MeyersonOFLAlgorithm(use_accel=ua), True),
-    "fotakis-ofl": (lambda c, ua: FotakisOFLAlgorithm(use_accel=ua), True),
-    "pd-omflp": (lambda c, ua: PDOMFLPAlgorithm(use_accel=ua), False),
-    "rand-omflp": (lambda c, ua: RandOMFLPAlgorithm(use_accel=ua), False),
-    "threshold-pd": (
-        lambda c, ua: ThresholdPDAlgorithm(c, excluded=(0,), use_accel=ua),
-        False,
-    ),
-    "per-commodity-fotakis": (
-        lambda c, ua: PerCommodityAlgorithm("fotakis", use_accel=ua),
-        False,
-    ),
-    "per-commodity-meyerson": (
-        lambda c, ua: PerCommodityAlgorithm("meyerson", use_accel=ua),
-        False,
-    ),
-    "no-prediction-greedy": (lambda c, ua: NoPredictionGreedy(), False),
-    "always-large-greedy": (lambda c, ua: AlwaysLargeGreedy(), False),
+#: name -> (factory taking num_commodities, single_commodity_only); the accel
+#: mode is the session's.
+ALGORITHMS: Dict[str, Tuple[Callable[[int], OnlineAlgorithm], bool]] = {
+    "meyerson-ofl": (lambda c: MeyersonOFLAlgorithm(), True),
+    "fotakis-ofl": (lambda c: FotakisOFLAlgorithm(), True),
+    "pd-omflp": (lambda c: PDOMFLPAlgorithm(), False),
+    "rand-omflp": (lambda c: RandOMFLPAlgorithm(), False),
+    "threshold-pd": (lambda c: ThresholdPDAlgorithm(c, excluded=(0,)), False),
+    "per-commodity-fotakis": (lambda c: PerCommodityAlgorithm("fotakis"), False),
+    "per-commodity-meyerson": (lambda c: PerCommodityAlgorithm("meyerson"), False),
+    "no-prediction-greedy": (lambda c: NoPredictionGreedy(), False),
+    "always-large-greedy": (lambda c: AlwaysLargeGreedy(), False),
 }
 
 CASES = [
@@ -189,7 +183,7 @@ def _session_for(algorithm_name: str, scenario_name: str, seed: int, use_accel: 
     num_commodities = next(c for name, c, _ in SCENARIOS if name == scenario_name)
     instance = builder(seed)
     session = OnlineSession(
-        factory(num_commodities, use_accel),
+        factory(num_commodities),
         instance.metric,
         instance.cost_function,
         commodities=instance.commodities,
@@ -227,7 +221,7 @@ def test_resume_is_bit_identical_to_uninterrupted(
     instance3 = builder(seed)
     resumed = OnlineSession.restore(
         snapshot,
-        algorithm=factory(num_commodities, use_accel),
+        algorithm=factory(num_commodities),
         metric=instance3.metric,
         cost=instance3.cost_function,
         commodities=instance3.commodities,
@@ -393,8 +387,22 @@ def test_pd_snapshot_refuses_cross_accel_restore():
     for request in instance.requests[:4]:
         session.submit(request.point, request.commodities)
     snapshot = session.snapshot()
-    algorithm = PDOMFLPAlgorithm(use_accel=False)
+    algorithm = PDOMFLPAlgorithm()
     instance2 = _clustered_multi(0)
-    algorithm.prepare(instance2, None, None)
-    with pytest.raises(SnapshotError, match="hot path"):
+    algorithm.prepare(instance2, OnlineState(instance2, use_accel=False), None)
+    with pytest.raises(SnapshotError, match=r"hot path \(use_accel=True\)"):
         algorithm.load_state_dict(snapshot.algorithm_state)
+
+
+def test_version_1_snapshot_file_is_rejected(tmp_path):
+    """Version-1 files carried the OFL helpers' own facility lists; the codec
+    refuses them instead of guessing at the old algorithm-state shapes."""
+    session, instance = _session_for("fotakis-ofl", "line-single", 0, True)
+    for request in instance.requests[:4]:
+        session.submit(request.point, request.commodities)
+    path = session.snapshot().save(tmp_path / "old.session.json")
+    data = json.loads(path.read_text())
+    data["version"] = 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(SnapshotError, match="unsupported snapshot version 1"):
+        SessionSnapshot.load(path)

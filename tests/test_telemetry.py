@@ -66,7 +66,7 @@ def _scenario_instance(name: str, seed: int) -> Instance:
 def _session(instance: Instance, algorithm: str, seed: int, telemetry) -> OnlineSession:
     factory, _ = ALGORITHMS[algorithm]
     return OnlineSession(
-        factory(True),
+        factory(),
         instance.metric,
         instance.cost_function,
         commodities=instance.commodities,
