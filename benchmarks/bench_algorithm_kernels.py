@@ -107,10 +107,10 @@ def test_metric_distance_rows(benchmark):
 SIZE_GRID = (256, 1024, 4096)
 
 #: algorithm key -> (factory, single_commodity, max_n); the hot path is the
-#: run's ``use_accel`` switch.  The primal–dual algorithms are inherently
-#: O(history x n) per request on *both* paths (the accel layer removes
-#: constant-factor waste, not the bid-sum itself), so their grid is capped to
-#: keep the script's runtime sane.
+#: run's ``use_accel`` switch.  The primal–dual rows are capped because their
+#: reference column rebuilds the O(history x n) bid sum every request; the
+#: accel path keeps it as a running vector (O(n) per request plus a full
+#: re-reduction after each opening that lowers a bid).
 _KERNELS = {
     "meyerson-ofl": (MeyersonOFLAlgorithm, True, max(SIZE_GRID)),
     "per-commodity-meyerson": (

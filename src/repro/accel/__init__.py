@@ -12,10 +12,11 @@ families of distance queries per arriving request:
   ``(classes, n)`` table, O(1) per query, instead of an O(n) scan per class
   per request.
 
-The primal–dual algorithms additionally rebuild O(h x n) bid sums over their
-request history each arrival;
-:class:`~repro.accel.history.BidHistoryBuffer` keeps those operands in
-preallocated buffers updated in place.
+The primal–dual algorithms additionally need, each arrival, the bid sum over
+their whole request history, which the reference path rebuilds in O(h x n);
+:class:`~repro.accel.history.BidHistoryBuffer` keeps that sum as a running
+vector, O(n) per new entry, and re-reduces the history only after an opening
+changed some bid.
 
 All three structures are **bit-identical** to the reference scans they
 replace (same floats, same tie-breaks, same numpy reduction orders); the

@@ -19,11 +19,12 @@ Two artifacts live here:
   :class:`~repro.algorithms.base.OnlineAlgorithm` for instances with
   ``|S| = 1`` (used by the substrate sanity experiment).
 
-Acceleration (the run's ``OnlineState.use_accel``, default on): the bid sums
-over earlier demands are evaluated from a preallocated
-:class:`~repro.accel.history.BidHistoryBuffer` (no per-request Python loop or
-``vstack`` copy over the history), bit-identical to the reference path
-(``use_accel=False``), which is retained for the equivalence harness.
+Acceleration (the run's ``OnlineState.use_accel``, default on): the bid sum
+over earlier demands is the running vector of a
+:class:`~repro.accel.history.BidHistoryBuffer` (O(n) per demand; the history
+is re-reduced only after an opening changed some bid), bit-identical to the
+reference path (``use_accel=False``), which is retained for the equivalence
+harness.
 """
 
 from __future__ import annotations

@@ -76,6 +76,17 @@ def _demand_bounds(
     return int(min_demand), int(upper)
 
 
+def _normalized(weights: np.ndarray) -> np.ndarray:
+    """Sampling probabilities of positive popularity weights, computed once.
+
+    The same ``w / w.sum()`` floats that
+    :meth:`~repro.core.commodities.CommodityUniverse.sample_subset` derives
+    per call, so a stream handing them to ``generator.choice`` draws the same
+    subsets from the same RNG state.
+    """
+    return weights / weights.sum()
+
+
 # ----------------------------------------------------------------------
 # uniform
 # ----------------------------------------------------------------------
@@ -356,7 +367,7 @@ class ZipfScenario(Scenario):
             ),
         )
         ranks = np.arange(1, self.num_commodities + 1, dtype=np.float64)
-        return env, {"weights": 1.0 / np.power(ranks, self.zipf_alpha)}
+        return env, {"probabilities": _normalized(1.0 / np.power(ranks, self.zipf_alpha))}
 
     def _stream(self, environment, aux, rng):
         return _ZipfStream(self, environment, rng, aux)
@@ -365,16 +376,16 @@ class ZipfScenario(Scenario):
 class _ZipfStream(ScenarioStream):
     def __init__(self, scenario, environment, rng, aux):
         super().__init__(scenario, environment, rng)
-        self._weights = aux["weights"]
+        self._probabilities = aux["probabilities"]
 
     def _next(self) -> Optional[ScenarioRequest]:
         scenario: ZipfScenario = self._scenario
         point = int(self._rng.integers(0, self._env.num_points))
         size = int(self._rng.integers(scenario.min_demand, scenario.max_demand + 1))
-        demand = self._env.commodities.sample_subset(
-            size, rng=self._rng, weights=self._weights
+        chosen = self._rng.choice(
+            scenario.num_commodities, size=size, replace=False, p=self._probabilities
         )
-        return point, demand
+        return point, frozenset(int(e) for e in chosen)
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +482,7 @@ class ServiceNetworkScenario(Scenario):
                 f"nodes={self.num_nodes})"
             ),
         )
-        return env, {"profiles": profiles, "popularity": popularity}
+        return env, {"profiles": profiles, "probabilities": _normalized(popularity)}
 
     def _stream(self, environment, aux, rng):
         return _ServiceNetworkStream(self, environment, rng, aux)
@@ -481,7 +492,7 @@ class _ServiceNetworkStream(ScenarioStream):
     def __init__(self, scenario, environment, rng, aux):
         super().__init__(scenario, environment, rng)
         self._profiles = aux["profiles"]
-        self._popularity = aux["popularity"]
+        self._probabilities = aux["probabilities"]
 
     def _next(self) -> Optional[ScenarioRequest]:
         scenario: ServiceNetworkScenario = self._scenario
@@ -489,9 +500,10 @@ class _ServiceNetworkStream(ScenarioStream):
         profile = self._profiles[int(self._rng.integers(0, len(self._profiles)))]
         demand = set(profile)
         if self._rng.uniform() < scenario.extra_service_probability:
-            demand |= self._env.commodities.sample_subset(
-                1, rng=self._rng, weights=self._popularity
+            chosen = self._rng.choice(
+                scenario.num_services, size=1, replace=False, p=self._probabilities
             )
+            demand.add(int(chosen[0]))
         return node, frozenset(demand)
 
 

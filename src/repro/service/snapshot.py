@@ -16,7 +16,7 @@ run **bit-identically** in a fresh process —
 What is deliberately *not* stored: opening costs and accel caches
 (:class:`~repro.accel.tracker.NearestSetTracker`,
 :class:`~repro.accel.classes.ClassDistanceIndex`,
-:class:`~repro.accel.history.BidHistoryBuffer` rows).  They are deterministic
+:class:`~repro.accel.history.BidHistoryBuffer` rows and running bid sums).  They are deterministic
 folds/functions of static instance data and the stored mutation log, so
 restore rebuilds them bit-for-bit by replay — which also keeps snapshots
 small: O(requests + facilities) instead of O(requests x points).

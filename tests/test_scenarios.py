@@ -19,6 +19,7 @@ RunSpec/run()/engine/service wiring, and the ``advance`` wire op.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import List
 
 import numpy as np
@@ -50,6 +51,8 @@ from repro.service.protocol import ServiceProtocol
 from repro.utils.rng import ensure_rng
 
 SEEDS = [0, 1, 2]
+
+GOLDEN_DRAWS = Path(__file__).resolve().parent / "golden" / "scenario_draws_seed0.json"
 
 ALL_KINDS = sorted(EXAMPLE_SPECS)
 
@@ -666,3 +669,15 @@ def test_protocol_advance_op_round_trip():
     # Plain sessions still reject the op with a useful error.
     bad = protocol.handle({"op": "advance", "name": "missing"})
     assert not bad["ok"]
+
+
+# ---------------------------------------------------------------------------
+# Golden draws: the harnesses above compare a stream against itself, so only
+# recorded values catch a change in what the generators draw
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["zipf", "service-network"])
+def test_weighted_draws_match_recorded_values(kind):
+    golden = json.loads(GOLDEN_DRAWS.read_text())[kind]
+    items = scenario_from_dict(golden["spec"]).open(golden["seed"]).take(len(golden["draws"]))
+    assert len(items) == 200
+    assert [[point, sorted(demand)] for point, demand in items] == golden["draws"]

@@ -509,6 +509,28 @@ def test_trace_cli_record_export_summarize_roundtrip(tmp_path, capsys):
     assert chrome_path_2.read_bytes() == chrome_path.read_bytes()
 
 
+def test_trace_cli_creates_missing_output_directories(tmp_path):
+    import argparse
+
+    from repro.trace import cli as trace_cli
+
+    parser = argparse.ArgumentParser()
+    trace_cli.configure_parser(parser)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SCENARIO_SPEC))
+    trace_path = tmp_path / "a" / "b" / "t.json"
+    args = parser.parse_args(
+        ["record", "--spec", str(spec_path), "--out", str(trace_path), "--max-requests", "8"]
+    )
+    assert trace_cli.run(args) == 0
+    assert validate_payload(json.loads(trace_path.read_text()))["meta"]["spans_retained"] > 0
+
+    chrome_path = tmp_path / "c" / "d" / "chrome.json"
+    args = parser.parse_args(["export", str(trace_path), "--out", str(chrome_path)])
+    assert trace_cli.run(args) == 0
+    assert validate_chrome_trace(json.loads(chrome_path.read_text())) > 0
+
+
 def test_span_round_trips_with_and_without_wall_fields():
     span = Span(
         span_id=3,
